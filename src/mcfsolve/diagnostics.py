@@ -10,8 +10,6 @@ translator speed C_h, and the gradient envelope max W stops growing.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -23,7 +21,7 @@ from .soliton import SolitonResult, solve_soliton
 from . import operators as ops
 
 __all__ = ["ConvergenceReport", "verify_convergence", "contraction_test",
-           "refinement_study", "run_to_stationarity", "catalog_cases", "parallel_map"]
+           "refinement_study", "run_to_stationarity", "catalog_cases"]
 
 
 @dataclass
@@ -269,14 +267,3 @@ def catalog_cases() -> List[Tuple[str, dict]]:
             "solver": {"N_r": 40, "N_theta": 40},
         }),
     ]
-
-
-def parallel_map(fn: Callable, items: Sequence):
-    """Map with run-level parallelism capped by MCF_THREADS (default: CPU
-    count).  Results keep the input order."""
-    workers = int(os.environ.get("MCF_THREADS", "0")) or (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(items) or 1))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

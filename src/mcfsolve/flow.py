@@ -237,7 +237,8 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
     """Iterate the flow until t_end, or until the windowed speed estimate
     is stationary: |speed(t) - speed(t - tau)| < speed_tol with
     tau = max(1, 10 dt).  Snapshots of the field are kept every
-    snapshot_interval time units (labels on the nominal multiples)."""
+    snapshot_interval time units; the step that would cross a snapshot
+    time is shortened to land on it, as the last step lands on t_end."""
     if t_end is None and speed_tol is None:
         raise ValueError("need a stop criterion: t_end and/or speed_tol")
     dt = auto_dt(state.grid, policy)
@@ -253,12 +254,12 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
     for _ in range(max_steps):
         if t_end is not None and state.t >= t_end - 1e-12:
             return state
+        dt_step = dt
         if t_end is not None:
-            dt_step = min(dt, t_end - state.t)
-            local_policy = StepPolicy(policy.scheme, dt_step, policy.safety)
-        else:
-            local_policy = StepPolicy(policy.scheme, dt, policy.safety)
-        step(state, local_policy, angle, tau=tau, eta_k=eta_k)
+            dt_step = min(dt_step, t_end - state.t)
+        if snapshot_interval is not None:
+            dt_step = min(dt_step, next_snap * snapshot_interval - state.t)
+        step(state, StepPolicy(policy.scheme, dt_step, policy.safety), angle, tau=tau, eta_k=eta_k)
 
         if snapshot_interval is not None:
             while state.t >= next_snap * snapshot_interval - 1e-9:

@@ -25,6 +25,13 @@ Jacobians of the nonlinear residual are assembled by complex-step
 differentiation with stencil coloring: the residual is complex-analytic in
 the field values, so Im R(u + i*delta e_S)/delta recovers the exact
 analytic derivatives to machine precision, one color group at a time.
+
+The lagged matrix of the semi-implicit step is the same flux form with its
+face factors W_f, W_t and node factors W frozen, so it is written directly
+from them: tridiagonal in 1-D, 5-point (periodic in theta) plus the ghost
+coupling of the last ring on the disk.  Coloring is used for the Newton
+Jacobian only.  One helper, _face_terms, computes the face and node factors
+for the nonlinear operator, the flux balance and the lagged matrix.
 """
 
 from __future__ import annotations
@@ -110,52 +117,51 @@ def ghost_fill(grid: Grid, field: Field, angle: AngleData) -> Field:
     return Field(extend_values(grid, interior, angle), field.t)
 
 
-def _mcf_interval(grid: Grid, ext: np.ndarray) -> np.ndarray:
+def _face_terms(grid: Grid, ext: np.ndarray):
+    """Area elements and slopes of the flux form at ext: the node factor W,
+    the one-sided radial face slopes with their face factors W_f, and on the
+    disk the angular face slopes with their factors W_t (None in 1-D).  The
+    face fluxes are s / W_f; accepts complex input."""
     h = grid.h_r
-    s = (ext[1:] - ext[:-1]) / h
-    q = s / np.sqrt(1.0 + s * s)
+    s_r = (ext[1:] - ext[:-1]) / h
     c = (ext[2:] - ext[:-2]) / (2.0 * h)
-    w_node = np.sqrt(1.0 + c * c)
-    return w_node * (q[1:] - q[:-1]) / h
-
-
-def _mcf_radial(grid: Grid, ext: np.ndarray) -> np.ndarray:
-    h = grid.h_r
-    s = (ext[1:] - ext[:-1]) / h
-    q = s / np.sqrt(1.0 + s * s)
-    c = (ext[2:] - ext[:-2]) / (2.0 * h)
-    w_node = np.sqrt(1.0 + c * c)
-    sf = grid.sigma_faces
-    div = (sf[1:] * q[1:] - sf[:-1] * q[:-1]) / (grid.sigma_nodes * h)
-    return w_node * div
-
-
-def _disk_pieces(grid: Grid, ext: np.ndarray):
-    h, ht = grid.h_r, grid.h_theta
+    if not grid.is_disk:
+        return np.sqrt(1.0 + c * c), s_r, np.sqrt(1.0 + s_r * s_r), None, None
+    ht = grid.h_theta
     r = grid.nodes
     r_ext = np.concatenate(([r[0]], r, [grid.geom.R + h]))
     w_ext = (np.roll(ext, -1, axis=1) - np.roll(ext, 1, axis=1)) / (2.0 * ht * r_ext[:, None])
-    c_int = (ext[2:] - ext[:-2]) / (2.0 * h)
-    w_int = w_ext[1:-1]
-
-    s_r = (ext[1:] - ext[:-1]) / h
     wbar2 = 0.5 * (w_ext[:-1] ** 2 + w_ext[1:] ** 2)
-    q_r = s_r / np.sqrt(1.0 + s_r * s_r + wbar2)
-
+    wf_r = np.sqrt(1.0 + s_r * s_r + wbar2)
     u = ext[1:-1]
     s_t = (np.roll(u, -1, axis=1) - u) / ht
-    cbar2 = 0.5 * (c_int ** 2 + np.roll(c_int, -1, axis=1) ** 2)
-    q_t = s_t / np.sqrt(1.0 + (s_t / r[:, None]) ** 2 + cbar2)
-    return c_int, w_int, q_r, q_t
+    cbar2 = 0.5 * (c ** 2 + np.roll(c, -1, axis=1) ** 2)
+    wf_t = np.sqrt(1.0 + (s_t / r[:, None]) ** 2 + cbar2)
+    w_node = np.sqrt(1.0 + c ** 2 + w_ext[1:-1] ** 2)
+    return w_node, s_r, wf_r, s_t, wf_t
+
+
+def _mcf_interval(grid: Grid, ext: np.ndarray) -> np.ndarray:
+    w_node, s, wf, _, _ = _face_terms(grid, ext)
+    q = s / wf
+    return w_node * (q[1:] - q[:-1]) / grid.h_r
+
+
+def _mcf_radial(grid: Grid, ext: np.ndarray) -> np.ndarray:
+    w_node, s, wf, _, _ = _face_terms(grid, ext)
+    q = s / wf
+    sf = grid.sigma_faces
+    div = (sf[1:] * q[1:] - sf[:-1] * q[:-1]) / (grid.sigma_nodes * grid.h_r)
+    return w_node * div
 
 
 def _mcf_disk(grid: Grid, ext: np.ndarray) -> np.ndarray:
-    c_int, w_int, q_r, q_t = _disk_pieces(grid, ext)
+    w_node, s_r, wf_r, s_t, wf_t = _face_terms(grid, ext)
+    q_r, q_t = s_r / wf_r, s_t / wf_t
     r = grid.nodes[:, None]
     sf = grid.sigma_faces[:, None]
     div_r = (sf[1:] * q_r[1:] - sf[:-1] * q_r[:-1]) / (grid.sigma_nodes[:, None] * grid.h_r)
     div_t = (q_t - np.roll(q_t, 1, axis=1)) / (r * r * grid.h_theta)
-    w_node = np.sqrt(1.0 + c_int ** 2 + w_int ** 2)
     return w_node * (div_r + div_t)
 
 
@@ -252,22 +258,16 @@ def flux_balance(grid: Grid, ext: np.ndarray) -> Tuple[float, float, float]:
     telescoped outermost-face flux, and gap their difference.  For any
     ghost-closed field the gap is pure roundoff.
     """
-    h = grid.h_r
-    if grid.geom.kind == "interval":
-        s = (ext[1:] - ext[:-1]) / h
-        q = s / np.sqrt(1.0 + s * s)
-        terms = q[1:] - q[:-1]
-        bflux = float(q[-1] - q[0])
-    elif grid.is_disk:
-        _, _, q_r, q_t = _disk_pieces(grid, ext)
+    _, s_r, wf_r, s_t, wf_t = _face_terms(grid, ext)
+    q = s_r / wf_r
+    if grid.is_disk:
         sf = grid.sigma_faces[:, None]
-        terms_r = (sf[1:] * q_r[1:] - sf[:-1] * q_r[:-1]) * grid.h_theta
-        terms_t = (q_t - np.roll(q_t, 1, axis=1)) * (h / grid.nodes[:, None])
+        terms_r = (sf[1:] * q[1:] - sf[:-1] * q[:-1]) * grid.h_theta
+        q_t = s_t / wf_t
+        terms_t = (q_t - np.roll(q_t, 1, axis=1)) * (grid.h_r / grid.nodes[:, None])
         terms = np.concatenate((terms_r.ravel(), terms_t.ravel()))
-        bflux = float(math.fsum((grid.sigma_faces[-1] * q_r[-1] * grid.h_theta).tolist()))
-    else:
-        s = (ext[1:] - ext[:-1]) / h
-        q = s / np.sqrt(1.0 + s * s)
+        bflux = float(math.fsum((grid.sigma_faces[-1] * q[-1] * grid.h_theta).tolist()))
+    else:  # sigma is 1 on the interval, so its faces carry unit weight
         sf = grid.sigma_faces
         terms = sf[1:] * q[1:] - sf[:-1] * q[:-1]
         bflux = float(sf[-1] * q[-1] - sf[0] * q[0])
@@ -311,15 +311,14 @@ def _smallest_divisor(n: int, at_least: int) -> int:
     return n
 
 
-def _coloring(grid: Grid, reach_theta: int):
+def _coloring(grid: Grid):
     """Color groups and per-column row supersets for Jacobian probing.
 
-    reach_theta = 2 covers the full nonlinear stencil (ghost chains reach
-    two rays sideways); 1 suffices for the frozen-coefficient operator.
-    Ring-0 columns of the disk are probed individually because the pole
-    mirror couples antipodal rays.
+    The nonlinear stencil reaches two rays sideways through the ghost
+    chains.  Ring-0 columns of the disk are probed individually because the
+    pole mirror couples antipodal rays.
     """
-    key = (grid.geom.kind, grid.n_r, grid.n_theta, reach_theta)
+    key = (grid.geom.kind, grid.n_r, grid.n_theta)
     if key in _COLOR_CACHE:
         return _COLOR_CACHE[key]
 
@@ -329,7 +328,7 @@ def _coloring(grid: Grid, reach_theta: int):
         col_rows = [np.arange(max(0, j - 1), min(m, j + 2)) for j in range(m)]
     else:
         mr, nt = grid.n_nodes, grid.n_theta
-        mth = _smallest_divisor(nt, 2 * reach_theta + 1)
+        mth = _smallest_divisor(nt, 5)
         flat = lambda i, j: i * nt + (j % nt)
         colors = []
         # pole ring: one column per color (antipodal mirror coupling)
@@ -345,7 +344,7 @@ def _coloring(grid: Grid, reach_theta: int):
             for j in range(nt):
                 rows = [flat(ii, j + dj)
                         for ii in range(max(0, i - 1), min(mr, i + 2))
-                        for dj in range(-reach_theta, reach_theta + 1)]
+                        for dj in range(-2, 3)]
                 if i == 0:
                     rows += [flat(0, j - nt // 2 + d) for d in (-1, 0, 1)]
                 col_rows.append(np.unique(rows))
@@ -353,10 +352,18 @@ def _coloring(grid: Grid, reach_theta: int):
     return colors, col_rows
 
 
-def _probe_matrix(grid: Grid, apply_fn, n: int, colors, col_rows) -> sp.csr_matrix:
+def capillary_jacobian(grid: Grid, interior: np.ndarray, angle: AngleData,
+                       eps: float) -> sp.csr_matrix:
+    """Exact Jacobian of capillary_residual at the given state, assembled
+    by colored complex-step differentiation."""
+    n = grid.n_unknowns
+    colors, col_rows = _coloring(grid)
+    base = np.asarray(interior, dtype=complex).ravel()
     rows_acc, cols_acc, data_acc = [], [], []
     for color in colors:
-        out = apply_fn(color)
+        u = base.copy()
+        u[color] += 1j * _CSTEP
+        out = capillary_residual(grid, u.reshape(grid.shape), angle, eps).ravel().imag / _CSTEP
         for c in color:
             rr = col_rows[c]
             rows_acc.append(rr)
@@ -370,100 +377,61 @@ def _probe_matrix(grid: Grid, apply_fn, n: int, colors, col_rows) -> sp.csr_matr
     return mat
 
 
-def capillary_jacobian(grid: Grid, interior: np.ndarray, angle: AngleData,
-                       eps: float) -> sp.csr_matrix:
-    """Exact Jacobian of capillary_residual at the given state, assembled
-    by colored complex-step differentiation."""
-    n = grid.n_unknowns
-    colors, col_rows = _coloring(grid, reach_theta=2)
-    base = np.asarray(interior, dtype=complex).ravel()
-    shape = grid.shape
-
-    def probe(color):
-        u = base.copy()
-        u[color] += 1j * _CSTEP
-        res = capillary_residual(grid, u.reshape(shape), angle, eps)
-        return res.ravel().imag / _CSTEP
-
-    return _probe_matrix(grid, probe, n, colors, col_rows)
-
-
 # -- lagged-coefficient linear operator for semi-implicit stepping ------------
-
-
-class _FrozenOperator:
-    """Linearization of the flux form with W factors and boundary normal
-    slopes frozen at a reference state; affine in the field."""
-
-    def __init__(self, grid: Grid, ext0: np.ndarray, angle: AngleData):
-        self.grid = grid
-        self.p0 = _normal_slope(grid, ext0[1:-1], angle)
-        h = grid.h_r
-        if grid.is_disk:
-            r = grid.nodes
-            r_ext = np.concatenate(([r[0]], r, [grid.geom.R + h]))
-            ht = grid.h_theta
-            w_ext = (np.roll(ext0, -1, axis=1) - np.roll(ext0, 1, axis=1)) / (2.0 * ht * r_ext[:, None])
-            c_int = (ext0[2:] - ext0[:-2]) / (2.0 * h)
-            s_r = (ext0[1:] - ext0[:-1]) / h
-            self.w_rface = np.sqrt(1.0 + s_r ** 2 + 0.5 * (w_ext[:-1] ** 2 + w_ext[1:] ** 2))
-            u = ext0[1:-1]
-            s_t = (np.roll(u, -1, axis=1) - u) / ht
-            cbar2 = 0.5 * (c_int ** 2 + np.roll(c_int, -1, axis=1) ** 2)
-            self.w_tface = np.sqrt(1.0 + (s_t / r[:, None]) ** 2 + cbar2)
-            self.w_node = np.sqrt(1.0 + c_int ** 2 + w_ext[1:-1] ** 2)
-        else:
-            s = (ext0[1:] - ext0[:-1]) / h
-            self.w_rface = np.sqrt(1.0 + s * s)
-            c = (ext0[2:] - ext0[:-2]) / (2.0 * h)
-            self.w_node = np.sqrt(1.0 + c * c)
-
-    def _extend(self, v: np.ndarray) -> np.ndarray:
-        g = self.grid
-        h = g.h_r
-        if g.geom.kind == "interval":
-            return np.concatenate(([v[1] - 2.0 * h * self.p0[0]], v,
-                                   [v[-2] - 2.0 * h * self.p0[1]]))
-        if g.is_disk:
-            mirror = np.roll(v[0], g.n_theta // 2)
-            ghost = v[-2] - 2.0 * h * self.p0
-            return np.vstack((mirror[None, :], v, ghost[None, :]))
-        return np.concatenate(([v[0]], v, [v[-2] - 2.0 * h * self.p0[0]]))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        g = self.grid
-        h = g.h_r
-        ext = self._extend(v)
-        q = (ext[1:] - ext[:-1]) / (h * self.w_rface)
-        if g.geom.kind == "interval":
-            return self.w_node * (q[1:] - q[:-1]) / h
-        if g.is_disk:
-            sf = g.sigma_faces[:, None]
-            div_r = (sf[1:] * q[1:] - sf[:-1] * q[:-1]) / (g.sigma_nodes[:, None] * h)
-            u = ext[1:-1]
-            q_t = (np.roll(u, -1, axis=1) - u) / (g.h_theta * self.w_tface)
-            r = g.nodes[:, None]
-            div_t = (q_t - np.roll(q_t, 1, axis=1)) / (r * r * g.h_theta)
-            return self.w_node * (div_r + div_t)
-        sf = g.sigma_faces
-        div = (sf[1:] * q[1:] - sf[:-1] * q[:-1]) / (g.sigma_nodes * h)
-        return self.w_node * div
 
 
 def semi_implicit_matrix(grid: Grid, ext0: np.ndarray, angle: AngleData,
                          dt: float) -> sp.csc_matrix:
-    """I - dt*M with M the frozen-coefficient linearization at ext0.
-    Used in increment form: (I - dt M) du = dt F(u_old)."""
-    frozen = _FrozenOperator(grid, ext0, angle)
+    """I - dt*M with M the flux form with W factors frozen at ext0.
+    Used in increment form: (I - dt M) du = dt F(u_old).
+
+    Node i couples to its radial neighbours with weight
+    W_i sigma_f / (sigma_i h^2 W_f) through each face f, and on the disk to
+    the neighbouring rays with weight W_i / (r_i^2 h_theta^2 W_t); the
+    diagonal is minus their sum.  The lagged boundary normal slope enters
+    the ghost closure only as an affine constant, already in F(u_old), so
+    each ghost v[-2] - 2h p0 (and the left ghost v[1] - 2h p0 of the
+    interval) folds its weight onto the node across the boundary node.
+    The pole face has sigma = 0 and couples nothing.  ``angle`` is unused;
+    the signature keeps it for existing callers.
+    """
+    h = grid.h_r
+    w_node, _, wf_r, _, wf_t = _face_terms(grid, ext0)
+    sf, sn = grid.sigma_faces, grid.sigma_nodes
+    if grid.is_disk:
+        sf, sn = sf[:, None], sn[:, None]
+    radial = w_node / (sn * h * h)
+    down = radial * sf[:-1] / wf_r[:-1]  # to node i-1
+    up = radial * sf[1:] / wf_r[1:]      # to node i+1
+    diag = -(down + up)
+    down[-1] += up[-1]  # outer ghost
+    if grid.geom.kind == "interval":
+        up[0] += down[0]  # left ghost
     n = grid.n_unknowns
-    colors, col_rows = _coloring(grid, reach_theta=1)
-    shape = grid.shape
-    base = frozen.apply(np.zeros(shape)).ravel()
-
-    def probe(color):
-        v = np.zeros(n)
-        v[color] = 1.0
-        return frozen.apply(v.reshape(shape)).ravel() - base
-
-    m = _probe_matrix(grid, probe, n, colors, col_rows)
-    return (sp.identity(n, format="csc") - dt * m.tocsc())
+    nt = grid.n_theta if grid.is_disk else 1
+    k = np.arange(n, dtype=np.int32).reshape(grid.shape)
+    # CSC column k holds the rows coupling to node k: the node below through
+    # its weight up, the node above through its weight down (the wrapped end
+    # values fall on rows outside the grid and are dropped)
+    below = np.concatenate((up[-1:], up[:-1]))
+    above = np.concatenate((down[1:], down[:1]))
+    if grid.is_disk:
+        angular = w_node / (grid.nodes[:, None] * grid.h_theta) ** 2
+        right = angular / wf_t                       # to ray j+1
+        left = angular / np.roll(wf_t, 1, axis=1)    # to ray j-1
+        diag -= right + left
+        slots = [(below, k - nt),
+                 (np.roll(right, 1, axis=1), np.roll(k, 1, axis=1)),
+                 (diag, k),
+                 (np.roll(left, -1, axis=1), np.roll(k, -1, axis=1)),
+                 (above, k + nt)]
+    else:
+        slots = [(below, k - nt), (diag, k), (above, k + nt)]
+    width = len(slots)
+    rows = np.stack([r for _, r in slots], axis=-1).ravel()
+    data = -dt * np.stack([v for v, _ in slots], axis=-1).ravel()
+    data[width // 2::width] += 1.0
+    keep = (rows >= 0) & (rows < n)  # no pole-face row, no row past the boundary
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(keep, dtype=np.int32)[width - 1::width]
+    return sp.csc_matrix((data[keep], rows[keep], indptr), shape=(n, n))

@@ -7,6 +7,7 @@ from mcfsolve import (angle_from_spec, contact_normal_slope, field_mean,
                       flux_balance, ghost_fill, integrate_boundary,
                       integrate_domain, make_field, make_geometry, make_grid,
                       mcf_operator, node_area_element)
+from mcfsolve.operators import mcf_from_extended, semi_implicit_matrix
 from conftest import PHI_GRIM, grim_reaper_exact, make_problem
 
 
@@ -194,3 +195,36 @@ class TestDivergenceIdentity:
             f = ghost_fill(grid, make_field(grid, 0.4 * rng.standard_normal(grid.shape)), angle)
             _, _, gap = flux_balance(grid, f.values)
             assert abs(gap) < 1e-12
+
+
+class TestSemiImplicitMatrix:
+    @pytest.mark.parametrize("kind,phi", [
+        ("interval", "const:0.0"),
+        ("interval", "const:-0.4"),
+        ("radial_ball", "const:0.0"),
+        ("radial_ball", "const:0.25"),
+        ("polar_disk", "const:0.0"),
+        ("polar_disk", "fourier:0.05,0.1,0.05"),
+    ])
+    def test_lagged_operator_at_own_state(self, kind, phi):
+        # M(u) u is the nonlinear operator at u, up to the lagged ghost
+        # constant -2h p0 that only the boundary rows see
+        geom, grid, angle = make_problem(kind, phi=phi)
+        rng = np.random.default_rng(13)
+        if grid.is_disk:
+            r, th = grid.nodes[:, None], grid.theta[None, :]
+            u0 = sum(rng.standard_normal() * r ** k * np.cos(k * th + rng.uniform(0, 6))
+                     for k in range(4))
+        else:
+            u0 = sum(rng.standard_normal() * np.cos(k * grid.nodes) for k in range(4))
+        ext = ghost_fill(grid, make_field(grid, 0.3 * u0), angle).values
+        dt = 0.7 * grid.h_r
+        a_mat = semi_implicit_matrix(grid, ext, angle, dt)
+        m_u = ((np.eye(grid.n_unknowns) - a_mat.toarray()) / dt) @ ext[1:-1].ravel()
+        mcf = mcf_from_extended(grid, ext)
+        gap = np.abs(m_u.reshape(grid.shape) - mcf)
+        scale = np.max(np.abs(mcf))
+        if np.any(angle.phi):
+            assert np.max(gap[-1]) > 1e-3 * scale
+            gap = gap[1:-1] if kind == "interval" else gap[:-1]
+        assert np.max(gap) <= 1e-10 * scale

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mcfsolve import (Field, SolverError, StepPolicy, auto_dt, eta_monitor,
-                      initial_state, run_until, solve_soliton, speed_estimate,
-                      step)
+from mcfsolve import (Field, SolverError, StepPolicy, auto_dt, build_problem,
+                      catalog_cases, eta_monitor, initial_state, parse_config,
+                      run_until, solve_soliton, speed_estimate, step)
 
 from conftest import PHI_GRIM, make_problem
 
@@ -114,6 +114,21 @@ class TestRunUntil:
         st = initial_state(grid, angle, 0.0)
         run_until(st, StepPolicy(), angle, t_end=3.0, snapshot_interval=1.0)
         assert [t for t, _ in st.snapshots] == [0.0, 1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("name,t_end", [("grim_reaper", 10.0), ("flat_ball_n2", 2.0)])
+    def test_translator_snapshots_at_discrete_speed(self, name, t_end):
+        # each snapshot is the field at its label, and a computed translator
+        # moves rigidly at C_h, so no snapshot drifts by O(C dt)
+        _, grid, angle = build_problem(parse_config(dict(catalog_cases())[name]))
+        sol = solve_soliton(grid, angle)
+        st = initial_state(grid, angle, sol.u_inf)
+        run_until(st, StepPolicy(), angle, t_end=t_end, snapshot_interval=0.25)
+        labels = [t for t, _ in st.snapshots]
+        assert labels == pytest.approx(0.25 * np.arange(len(labels)))
+        assert labels[-1] == pytest.approx(t_end)
+        drift = max(np.max(np.abs(snap - sol.u_inf.interior - sol.C_h * t))
+                    for t, snap in st.snapshots)
+        assert drift <= 1e-6
 
     def test_history_monotone_time(self, grim_setup):
         grid, angle = grim_setup
