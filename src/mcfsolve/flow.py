@@ -17,10 +17,14 @@ W*eta) where eta is the weighted gradient monitor
 
 with d the smoothed boundary distance.  The history is the empirical
 record behind the uniform gradient bound and bounded-drift checks.
+Recording a row costs the same however long the history is: the speed
+window is found by bisection on the time list, and the distance terms of
+the monitor are computed once per grid (``Grid.distance_terms``).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Tuple
@@ -122,18 +126,13 @@ def eta_monitor(grid: Grid, field: Field, angle: AngleData,
     """
     if K <= 0 or (S is not None and S <= 0):
         raise ValueError("monitor constants K, S must be positive")
-    geom = grid.geom
     if S is None:
-        S = geom.hess_d_bound + 2.0
+        S = grid.geom.hess_d_bound + 2.0
     ext = field.values
     c, _ = ops.node_slopes(grid, ext)
     w_node = ops.node_area_element(grid, ext)
-    d_vals, _ = geom.smoothed_distance(grid.nodes)
-    dd = geom.smoothed_distance_gradient(grid.nodes)
+    d_vals, dd = grid.distance_terms
     phi_ext = angle.extension(grid)
-    if grid.is_disk:
-        d_vals = np.asarray(d_vals)[:, None]
-        dd = np.asarray(dd)[:, None]
     grad_dot = c * dd
     bracket = S * d_vals + 1.0 - (phi_ext / w_node) * grad_dot
     log_weta = np.log(w_node) + K * (field.interior - C * field.t) + np.log(bracket)
@@ -150,30 +149,30 @@ def speed_estimate(history: FlowHistory, tau: float) -> float:
     target = t_now - tau
     if target < history.t[0] - 1e-12:
         raise ValueError("insufficient history for the requested window")
-    idx = int(np.searchsorted(np.asarray(history.t), target + 1e-12) )
-    idx = min(idx, len(history) - 2)
+    idx = _window_start(history.t, target)
     dt_w = t_now - history.t[idx]
     return (history.mean_u[-1] - history.mean_u[idx]) / dt_w
+
+
+def _window_start(t: List[float], target: float) -> int:
+    """First index with t >= target (1e-12 slack), at most len(t) - 2;
+    bisection keeps the lookup O(log n) in the history length."""
+    return min(bisect.bisect_left(t, target + 1e-12), len(t) - 2)
 
 
 def _record(state: FlowState, angle: AngleData, tau: float, eta_k: float):
     grid, field = state.grid, state.field
     with np.errstate(over="ignore"):  # a diverging run may log inf monitors
-        _record_inner(state, angle, tau, eta_k)
-
-
-def _record_inner(state: FlowState, angle: AngleData, tau: float, eta_k: float):
-    grid, field = state.grid, state.field
-    w_node = ops.node_area_element(grid, field.values)
-    mean_u = ops.field_mean(grid, field)
-    osc = ops.field_osc(field)
-    try:
-        spd = speed_estimate(state.history, tau) if len(state.history) else math.nan
-    except ValueError:
-        spd = math.nan
-    c_for_eta = 0.0 if math.isnan(spd) else spd
-    weta, _ = eta_monitor(grid, field, angle, K=eta_k, C=c_for_eta)
-    state.history.append(field.t, mean_u, float(np.max(w_node)), osc, spd, weta)
+        w_node = ops.node_area_element(grid, field.values)
+        mean_u = ops.field_mean(grid, field)
+        osc = ops.field_osc(field)
+        try:
+            spd = speed_estimate(state.history, tau) if len(state.history) else math.nan
+        except ValueError:
+            spd = math.nan
+        c_for_eta = 0.0 if math.isnan(spd) else spd
+        weta, _ = eta_monitor(grid, field, angle, K=eta_k, C=c_for_eta)
+        state.history.append(field.t, mean_u, float(np.max(w_node)), osc, spd, weta)
 
 
 def initial_state(grid: Grid, angle: AngleData, u0=0.0, eta_k: float = 5.0) -> FlowState:
@@ -243,6 +242,7 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
         raise ValueError("need a stop criterion: t_end and/or speed_tol")
     dt = auto_dt(state.grid, policy)
     tau = max(1.0, 10.0 * dt)
+    hist = state.history
 
     if snapshot_interval is not None and not state.snapshots:
         state.snapshots.append((state.t, state.field.interior.copy()))
@@ -266,14 +266,13 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
                 state.snapshots.append((next_snap * snapshot_interval, state.field.interior.copy()))
                 next_snap += 1
 
-        if speed_tol is not None and state.t >= 2.0 * tau:
-            hist = state.history
-            now = hist.speed[-1]
-            if not math.isnan(now):
-                target = state.t - tau
-                idx = int(np.searchsorted(np.asarray(hist.t), target + 1e-12))
-                idx = min(idx, len(hist) - 2)
-                then = hist.speed[idx]
-                if not math.isnan(then) and abs(now - then) < speed_tol:
-                    return state
-    raise SolverError(f"flow did not reach the stop criterion within {max_steps} steps")
+        if speed_tol is not None and state.t >= 2.0 * tau:  # a NaN speed never stops the run
+            if abs(hist.speed[-1] - hist.speed[_window_start(hist.t, state.t - tau)]) < speed_tol:
+                return state
+    if t_end is not None and state.t >= t_end - 1e-12:
+        return state  # the last allowed step landed on t_end
+    waiting = " and ".join(f"{k} = {v!r}" for k, v in (("t_end", t_end), ("speed_tol", speed_tol))
+                           if v is not None)
+    last = (hist.t[-1], hist.max_w[-1], hist.osc_u[-1], hist.speed[-1], hist.max_weta[-1])
+    raise SolverError(f"flow stopped at t = {state.t!r} after {max_steps} steps without reaching "
+                      f"{waiting}; last history row (t, max_W, osc_u, speed, max_Weta) = {last}")

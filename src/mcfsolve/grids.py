@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -69,13 +70,14 @@ class Grid:
             return (self.n_nodes + 2, self.n_theta)
         return (self.n_nodes + 2,)
 
-    def node_coordinates(self):
-        """Coordinate columns matching the flattened interior layout."""
-        if self.is_disk:
-            r = np.repeat(self.nodes, self.n_theta)
-            th = np.tile(self.theta, self.n_nodes)
-            return r, th
-        return (self.nodes,)
+    @cached_property
+    def distance_terms(self):
+        """Smoothed boundary distance d and its coordinate derivative at the
+        real nodes, shaped to broadcast on the interior; computed once per grid."""
+        d, _ = self.geom.smoothed_distance(self.nodes)
+        dd = self.geom.smoothed_distance_gradient(self.nodes)
+        shape = (-1, 1) if self.is_disk else (-1,)
+        return np.reshape(d, shape), np.reshape(dd, shape)
 
 
 def make_grid(geom: Geometry, n_r: int, n_theta: Optional[int] = None) -> Grid:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st_
 
 from mcfsolve import (Field, SolverError, StepPolicy, auto_dt, build_problem,
                       catalog_cases, eta_monitor, initial_state, parse_config,
                       run_until, solve_soliton, speed_estimate, step)
+from mcfsolve import operators as ops
+from mcfsolve.flow import FlowHistory, _window_start
+from mcfsolve.geometry import Geometry
 
 from conftest import PHI_GRIM, make_problem
 
@@ -109,6 +113,26 @@ class TestRunUntil:
         with pytest.raises(SolverError):
             run_until(st, StepPolicy(), angle, t_end=100.0, max_steps=5)
 
+    @pytest.mark.parametrize("t_end,speed_tol", [(100.0, None), (None, 1e-12), (100.0, 1e-12)])
+    def test_budget_error_names_where_it_stopped(self, t_end, speed_tol):
+        geom, grid, angle = make_problem("interval", n_r=32, phi="const:-0.3")
+        st = initial_state(grid, angle, 0.0)
+        with pytest.raises(SolverError) as info:
+            run_until(st, StepPolicy(), angle, t_end=t_end, speed_tol=speed_tol, max_steps=3)
+        msg = str(info.value)
+        for name, value in (("t_end", t_end), ("speed_tol", speed_tol)):
+            assert (f"{name} = {value!r}" in msg) == (value is not None)
+        assert f"t = {st.t!r}" in msg
+        assert "after 3 steps" in msg
+        assert repr(st.history.rows()[-1]) in msg
+
+    def test_budget_spent_exactly_on_t_end(self):
+        geom, grid, angle = make_problem("interval", n_r=32, phi="const:-0.3")
+        st = initial_state(grid, angle, 0.0)
+        run_until(st, StepPolicy(), angle, t_end=5 * grid.h_r, max_steps=5)
+        assert len(st.history) == 6
+        assert st.t == pytest.approx(5 * grid.h_r, abs=1e-12)
+
     def test_snapshot_labels(self):
         geom, grid, angle = make_problem("interval", n_r=32, phi="const:-0.2")
         st = initial_state(grid, angle, 0.0)
@@ -153,6 +177,37 @@ class TestSpeedEstimate:
         st = initial_state(grid, angle, 0.0)
         with pytest.raises(ValueError):
             speed_estimate(st.history, 1.0)
+        step(st, StepPolicy(), angle)
+        with pytest.raises(ValueError):
+            speed_estimate(st.history, 1.0)  # the window reaches before t = 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st_.data())
+    def test_window_start_matches_searchsorted(self, data):
+        # irregular steps, shortened steps landing on snapshot times, and
+        # targets within 1e-12 of a recorded time
+        t0 = data.draw(st_.floats(-10.0, 10.0))
+        steps = data.draw(st_.lists(st_.one_of(st_.floats(1e-3, 1.0), st_.floats(1e-11, 1e-6)),
+                                    min_size=1, max_size=60))
+        t = [t0]
+        for dt in steps:
+            t.append(t[-1] + dt)
+        k = data.draw(st_.integers(0, len(t) - 1))
+        target = data.draw(st_.one_of(
+            st_.floats(t[0] - 1.0, t[-1] + 1.0),
+            st_.floats(-2e-12, 2e-12).map(lambda off: t[k] + off),
+            st_.just(t[k] - 1e-12)))
+        expected = min(int(np.searchsorted(np.asarray(t), target + 1e-12)), len(t) - 2)
+        assert _window_start(t, target) == expected
+
+    def test_speed_estimate_window_on_snapshot_steps(self):
+        hist = FlowHistory()
+        for t in (0.0, 0.3, 0.5, 0.8, 1.0, 1.3, 1.5):  # 0.5, 1.0, 1.5: shortened steps
+            hist.append(t, 2.0 * t, 1.0, 0.0, 0.0, 1.0)
+        assert speed_estimate(hist, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert speed_estimate(hist, 1.5) == pytest.approx(2.0, rel=1e-14)
+        with pytest.raises(ValueError):
+            speed_estimate(hist, 1.6)
 
 
 class TestEtaMonitor:
@@ -180,6 +235,42 @@ class TestEtaMonitor:
         run_until(st, StepPolicy(), angle, t_end=1.0)
         weta = np.asarray(st.history.max_weta)
         assert np.all(np.isfinite(weta)) and np.all(weta > 0)
+
+    @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
+    def test_distance_terms_computed_once_per_grid(self, kind, monkeypatch):
+        calls = []
+        original = Geometry.smoothed_distance
+
+        def counting(self, x):
+            calls.append(self)
+            return original(self, x)
+
+        monkeypatch.setattr(Geometry, "smoothed_distance", counting)
+        geom, grid, angle = make_problem(kind, phi="const:0.2")
+        st = initial_state(grid, angle, 0.0)
+        run_until(st, StepPolicy(), angle, t_end=50 * auto_dt(grid, StepPolicy()))
+        assert len(st.history) == 51
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
+    def test_monitor_matches_direct_evaluation(self, kind):
+        geom, grid, angle = make_problem(kind, phi="const:-0.3")
+        st = initial_state(grid, angle, 0.0)
+        run_until(st, StepPolicy(), angle, t_end=0.1)  # the grid's terms are cached by now
+        rng = np.random.default_rng(7)
+        f = Field(st.field.values + 0.1 * rng.standard_normal(grid.ext_shape), 0.4)
+        K, C = 5.0, 0.3
+        got, _ = eta_monitor(grid, f, angle, K=K, C=C)
+        # from scratch, without the cached distance terms
+        c, _ = ops.node_slopes(grid, f.values)
+        w = ops.node_area_element(grid, f.values)
+        d, _ = geom.smoothed_distance(grid.nodes)
+        dd = geom.smoothed_distance_gradient(grid.nodes)
+        if grid.is_disk:
+            d, dd = d[:, None], dd[:, None]
+        bracket = (geom.hess_d_bound + 2.0) * d + 1.0 - (angle.extension(grid) / w) * (c * dd)
+        want = np.exp(np.max(np.log(w) + K * (f.interior - C * f.t) + np.log(bracket)))
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_invalid_constants(self):
         geom, grid, angle = make_problem("interval", n_r=32)
