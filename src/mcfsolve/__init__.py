@@ -2,7 +2,7 @@
 
 A numpy/scipy laboratory for graph flows u_t = W div(grad u / W) over
 model-space domains with the boundary condition <grad u, gamma>/W = phi:
-translating-soliton solves via regularized capillary continuation, time
+translating-soliton solves by one bordered Newton solve, time
 integration with gradient/oscillation monitors, existence-hypothesis
 checks with closed-form radius bounds, and verification harnesses.
 """

@@ -44,7 +44,6 @@ def cmd_soliton(args) -> int:
     emit_outputs(args.out, {
         "resolved_config.json": ("json", cfg.resolved()),
         "u_inf.csv": ("field", grid, result.u_inf),
-        "eps_trace.csv": ("csv", ("eps", "eps_mean_u"), result.eps_trace),
         "report.json": ("json", report),
     })
     print(f"soliton: C_eps={result.C_eps:.6f} C_quad={result.C_quad:.6f} C_h={result.C_h:.6f} "

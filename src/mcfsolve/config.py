@@ -7,7 +7,6 @@ A run is described by a JSON object with four blocks::
       "angle":    {"phi": "const:-0.2"},
       "solver":   {"N_r": 200, "N_theta": 64, "scheme": "semi_implicit",
                    "dt": null, "tol": 1e-10, "max_iter": 30,
-                   "eps_first": 1.0, "eps_last": 1e-6, "eps_ratio": 0.5,
                    "safety": 0.4},
       "seed": 0
     }
@@ -55,9 +54,6 @@ _SOLVER_DEFAULTS = {
     "dt": None,
     "tol": 1e-10,
     "max_iter": 30,
-    "eps_first": 1.0,
-    "eps_last": 1e-6,
-    "eps_ratio": 0.5,
     "safety": 0.4,
 }
 
@@ -79,9 +75,6 @@ class SolverSettings:
     dt: Optional[float] = None
     tol: float = 1e-10
     max_iter: int = 30
-    eps_first: float = 1.0
-    eps_last: float = 1e-6
-    eps_ratio: float = 0.5
     safety: float = 0.4
 
 
@@ -104,8 +97,7 @@ class RunConfig:
 
     def newton_policy(self) -> NewtonPolicy:
         s = self.solver
-        return NewtonPolicy(tol=s.tol, max_iter=s.max_iter, eps_first=s.eps_first,
-                            eps_last=s.eps_last, eps_ratio=s.eps_ratio)
+        return NewtonPolicy(tol=s.tol, max_iter=s.max_iter)
 
     def step_policy(self) -> StepPolicy:
         s = self.solver
@@ -119,8 +111,7 @@ class RunConfig:
             "solver": {
                 "N_r": s.n_r, "N_theta": s.n_theta, "scheme": s.scheme,
                 "dt": s.dt, "tol": s.tol, "max_iter": s.max_iter,
-                "eps_first": s.eps_first, "eps_last": s.eps_last,
-                "eps_ratio": s.eps_ratio, "safety": s.safety,
+                "safety": s.safety,
             },
             "seed": self.seed,
         }
@@ -237,9 +228,7 @@ def parse_config(source: Union[str, Path, dict, "RunConfig"]) -> RunConfig:
     solver = SolverSettings(
         n_r=int(merged["N_r"]), n_theta=int(merged["N_theta"]),
         scheme=merged["scheme"], dt=dt, tol=float(merged["tol"]),
-        max_iter=int(merged["max_iter"]), eps_first=float(merged["eps_first"]),
-        eps_last=float(merged["eps_last"]), eps_ratio=float(merged["eps_ratio"]),
-        safety=float(merged["safety"]),
+        max_iter=int(merged["max_iter"]), safety=float(merged["safety"]),
     )
     return RunConfig(geometry=_pyify(raw["geometry"]), angle=phi_spec,
                      solver=solver, seed=seed, preset=preset_name)

@@ -1,45 +1,46 @@
-"""Translating-soliton solver via regularized capillary continuation.
+"""Translating-soliton solver: one bordered Newton solve.
 
 The translator profile solves W div(grad u / W) = C with the contact-angle
 boundary closure; the speed C is pinned by the boundary-flux balance
 
     C = -int_boundary phi dsigma / int_domain (1/W) dx.
 
-The profile is computed as the vanishing-regularization limit of
+The paper obtains the profile as the vanishing-regularization limit of
+the capillary problems
 
     W div(grad u / W) = eps * u,
 
-whose unique solution drifts like C/eps.  To keep the Newton systems
-well conditioned down to eps = 1e-6 the solver works with the split
-u = v + mu, unknowns (v, mu_t = eps*mu), where v carries the shape with
-quadrature mean zero and mu_t tends to the speed:
+whose unique solution drifts like C/eps (``solve_capillary_eps``).  The
+solver works with the split u = v + mu, unknowns (v, mu_t = eps*mu),
+where v carries the shape with quadrature mean zero and mu_t the speed:
 
     W div(grad v / W) - eps*v - mu_t = 0,   mean(v) = 0.
 
-The bordered Jacobian (exact, complex-step assembled) stays uniformly
-invertible as eps -> 0.  Damped Newton with residual backtracking runs
-along a geometric eps schedule with warm starts.  Three speeds come out:
+The mean constraint removes the constant null space, so the bordered
+Jacobian (exact, complex-step assembled) stays invertible at eps = 0
+(Keller's bordering).  ``solve_soliton`` therefore solves the eps = 0
+system directly by damped Newton with residual backtracking, started
+from zero.  Three speeds come out:
 
 C_quad
     the continuum estimator: the flux balance above with the analytic
     boundary integral of phi and the quadrature of 1/W; O(h^2)-close to
     the discrete speed and the quantity whose order criterion 8 measures.
 C_eps
-    the bordered multiplier: Richardson extrapolation of mu_t = eps *
-    mean(u_eps) over the last two schedule points.
+    the bordered multiplier: the converged mu_t of the eps = 0 system.
 C_h
     the speed the discrete flow attains: the telescoped outer-face flux
     over sum_i sigma_i h / W_i (operators.discrete_speed).  It depends
     only on the profile; drift and speed checks measure against it.
 
 C_eps and C_quad are independent up to discretization and guard each
-other; C_h and C_eps agree up to the eps regularization bias.
+other; C_h and C_eps agree up to the Newton tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,23 +59,10 @@ class NewtonPolicy:
     tol: float = 1e-10
     max_iter: int = 30
     max_backtracks: int = 20
-    eps_first: float = 1.0
-    eps_last: float = 1e-6
-    eps_ratio: float = 0.5
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not 0 < self.eps_ratio < 1:
-            raise ValueError("eps schedule must be strictly decreasing")
-        if not 0 < self.eps_last <= self.eps_first:
-            raise ValueError("eps schedule must run from eps_first down to eps_last")
-
-    def schedule(self) -> List[float]:
-        out = [self.eps_first]
-        while out[-1] > self.eps_last:
-            out.append(out[-1] * self.eps_ratio)
-        return out
 
 
 @dataclass
@@ -84,8 +72,9 @@ class SolitonResult:
     ``u_inf`` is the ghost-closed profile with quadrature mean zero;
     ``C_eps``, ``C_quad`` and ``C_h`` are the three speeds of the module
     docstring; ``residual`` is max |W div(grad u_inf / W) - C_h|, how far
-    u_inf is from solving the discrete translator equation (the eps
-    regularization bias).
+    u_inf is from solving the discrete translator equation (set by the
+    Newton tolerance); ``newton_iters`` holds the iteration count of the
+    one Newton solve.
     """
 
     u_inf: Field
@@ -93,14 +82,9 @@ class SolitonResult:
     C_quad: float
     C_h: float
     residual: float
-    eps_trace: List[Tuple[float, float]]
     newton_iters: List[int]
     grid: Grid
     angle: AngleData
-
-    @property
-    def speed_gap(self) -> float:
-        return abs(self.C_eps - self.C_quad)
 
 
 def _quad_row(grid: Grid) -> np.ndarray:
@@ -141,7 +125,8 @@ def _newton_eps(grid: Grid, angle: AngleData, eps: float,
         try:
             delta = splu(bordered).solve(rhs)
         except RuntimeError as exc:
-            raise SolverError(f"singular capillary Jacobian at eps={eps:g}: {exc}") from exc
+            raise SolverError(f"singular capillary Jacobian at eps={eps:g}, iteration {it} "
+                              f"(residual {nrm:.3e}): {exc}") from exc
         dv = delta[:-1].reshape(shape)
         dmu = float(delta[-1])
 
@@ -156,12 +141,12 @@ def _newton_eps(grid: Grid, angle: AngleData, eps: float,
                 break
             lam *= 0.5
         else:
-            raise SolverError(
-                f"Newton stagnated at eps={eps:g} (residual {nrm:.3e}); "
-                "try a finer eps schedule or a better initial state")
+            raise SolverError(f"Newton stagnated at eps={eps:g}, iteration {it}: "
+                              f"residual {nrm:.3e}")
     if nrm <= policy.tol:
         return v, mu_t, policy.max_iter
-    raise SolverError(f"Newton did not converge at eps={eps:g}: residual {nrm:.3e}")
+    raise SolverError(f"Newton did not converge at eps={eps:g} in {policy.max_iter} "
+                      f"iterations: residual {nrm:.3e}")
 
 
 def solve_capillary_eps(grid: Grid, angle: AngleData, eps: float,
@@ -196,28 +181,10 @@ def _embed(grid: Grid, interior: np.ndarray) -> np.ndarray:
 
 def solve_soliton(grid: Grid, angle: AngleData,
                   policy: Optional[NewtonPolicy] = None) -> SolitonResult:
-    """Continuation in eps with warm starts; the extrapolated, quadrature
-    and discrete speeds; zero-mean profile."""
+    """Bordered Newton on the eps = 0 system from zero; the multiplier,
+    quadrature and discrete speeds; zero-mean profile."""
     policy = policy or NewtonPolicy()
-    schedule = policy.schedule()
-    v = np.zeros(grid.shape)
-    mu_t = 0.0
-    trace: List[Tuple[float, float]] = []
-    iters: List[int] = []
-    for eps in schedule:
-        v, mu_t, it = _newton_eps(grid, angle, eps, v, mu_t, policy)
-        trace.append((eps, mu_t))
-        iters.append(it)
-
-    ys = [y for _, y in trace]
-    c_eps = 2.0 * ys[-1] - ys[-2]
-    if len(ys) >= 3:
-        c_prev = 2.0 * ys[-2] - ys[-3]
-        if abs(c_eps - c_prev) > max(10.0 * policy.tol, 1e-9):
-            raise SolverError(
-                "eps schedule exhausted before the extrapolated speed "
-                f"stabilized: last increment {abs(c_eps - c_prev):.3e}")
-
+    v, c_eps, it = _newton_eps(grid, angle, 0.0, np.zeros(grid.shape), 0.0, policy)
     v = v - ops.field_mean(grid, v)
     u_inf = ops.ghost_fill(grid, Field(_embed(grid, v)), angle)
     w_node = ops.node_area_element(grid, u_inf.values)
@@ -226,27 +193,24 @@ def solve_soliton(grid: Grid, angle: AngleData,
     c_h = ops.discrete_speed(grid, u_inf.values)
     res = float(np.max(np.abs(ops.mcf_from_extended(grid, u_inf.values) - c_h)))
     return SolitonResult(u_inf=u_inf, C_eps=float(c_eps), C_quad=float(c_quad),
-                         C_h=float(c_h), residual=res, eps_trace=trace,
-                         newton_iters=iters, grid=grid, angle=angle)
+                         C_h=float(c_h), residual=res, newton_iters=[it],
+                         grid=grid, angle=angle)
 
 
 def verify_compatibility(result: SolitonResult) -> dict:
-    """Recompute the quadrature speed and the discrete divergence identity
-    for a solved soliton, next to its C_eps and C_h; reporting only."""
+    """Recompute the discrete divergence identity for a solved soliton,
+    next to its three speeds; reporting only."""
     grid, angle = result.grid, result.angle
     ext = result.u_inf.values
-    w_node = ops.node_area_element(grid, ext)
-    denom = ops.integrate_domain(grid, 1.0 / w_node)
-    c_quad = -ops.integrate_boundary(grid, angle) / denom
     interior_sum, boundary_flux, gap = ops.flux_balance(grid, ext)
     # flux_balance sums over one unit of the ball's sphere measure
     scale = grid.geom.sphere_area if grid.geom.kind == "radial_ball" else 1.0
     bc_gap = abs(scale * boundary_flux + ops.integrate_boundary(grid, angle))
     return {
         "C_eps": result.C_eps,
-        "C_quad": float(c_quad),
+        "C_quad": result.C_quad,
         "C_h": result.C_h,
-        "speed_gap": abs(result.C_eps - c_quad),
+        "speed_gap": abs(result.C_eps - result.C_quad),
         "flux_interior_sum": interior_sum,
         "flux_boundary": boundary_flux,
         "flux_gap": abs(gap),

@@ -35,6 +35,8 @@ class TestParseConfig:
             parse_config({**MINIMAL, "extra": 1})
         with pytest.raises(ConfigError, match="solver"):
             parse_config({**MINIMAL, "solver": {"NR": 100}})
+        with pytest.raises(ConfigError, match="solver"):
+            parse_config({**MINIMAL, "solver": {"eps_ratio": 0.5}})
         with pytest.raises(ConfigError, match="unknown keys"):
             parse_config({"geometry": {"kind": "interval", "a": -1, "b": 1, "x": 0},
                           "angle": {"phi": "const:0.0"}})
@@ -106,7 +108,7 @@ class TestCli:
         rc = cli_main(["soliton", "--config", "grim_reaper", "--out", str(out)])
         assert rc == 0
         names = {p.name for p in out.iterdir()}
-        assert {"u_inf.csv", "eps_trace.csv", "report.json", "resolved_config.json"} <= names
+        assert {"u_inf.csv", "report.json", "resolved_config.json"} <= names
         report = json.loads((out / "report.json").read_text())
         assert report["C_quad"] == pytest.approx(0.5, abs=1e-3)
         first = (out / "u_inf.csv").read_text().splitlines()[0]
@@ -154,7 +156,7 @@ class TestCli:
         a, b = tmp_path / "a", tmp_path / "b"
         cli_main(["soliton", "--config", "grim_reaper", "--out", str(a)])
         cli_main(["soliton", "--config", "grim_reaper", "--out", str(b)])
-        for name in ("report.json", "u_inf.csv", "eps_trace.csv", "resolved_config.json"):
+        for name in ("report.json", "u_inf.csv", "resolved_config.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_phi_override(self, tmp_path):
