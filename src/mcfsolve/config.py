@@ -1,14 +1,13 @@
 """Run configuration parsing, validation, and deterministic output writing.
 
-A run is described by a JSON object with four blocks::
+A run is described by a JSON object with three blocks::
 
     {
       "geometry": {"kind": "interval", "a": -1.0, "b": 1.0},
       "angle":    {"phi": "const:-0.2"},
       "solver":   {"N_r": 200, "N_theta": 64, "scheme": "semi_implicit",
                    "dt": null, "tol": 1e-10, "max_iter": 30,
-                   "safety": 0.4},
-      "seed": 0
+                   "safety": 0.4}
     }
 
 Unknown keys are rejected with the offending field path.  ``{"preset":
@@ -62,7 +61,6 @@ PRESETS = {
         "geometry": {"kind": "interval", "a": -1.0, "b": 1.0},
         "angle": {"phi": f"const:{-math.sin(0.5)!r}"},
         "solver": {"N_r": 200},
-        "seed": 0,
     },
 }
 
@@ -83,7 +81,6 @@ class RunConfig:
     geometry: dict
     angle: str
     solver: SolverSettings
-    seed: int = 0
     preset: Optional[str] = None
 
     @property
@@ -113,7 +110,6 @@ class RunConfig:
                 "dt": s.dt, "tol": s.tol, "max_iter": s.max_iter,
                 "safety": s.safety,
             },
-            "seed": self.seed,
         }
 
 
@@ -184,7 +180,7 @@ def parse_config(source: Union[str, Path, dict, "RunConfig"]) -> RunConfig:
             raise ConfigError(f"preset: unknown preset {preset_name!r}")
         raw = _deep_merge(PRESETS[preset_name], raw)
 
-    unknown = set(raw) - {"geometry", "angle", "solver", "seed"}
+    unknown = set(raw) - {"geometry", "angle", "solver"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     if "geometry" not in raw:
@@ -221,9 +217,6 @@ def parse_config(source: Union[str, Path, dict, "RunConfig"]) -> RunConfig:
     for key in ("N_r",):
         if int(merged[key]) < 8:
             raise ConfigError(f"solver.{key}: must be at least 8")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed: must be an integer")
 
     solver = SolverSettings(
         n_r=int(merged["N_r"]), n_theta=int(merged["N_theta"]),
@@ -231,7 +224,7 @@ def parse_config(source: Union[str, Path, dict, "RunConfig"]) -> RunConfig:
         max_iter=int(merged["max_iter"]), safety=float(merged["safety"]),
     )
     return RunConfig(geometry=_pyify(raw["geometry"]), angle=phi_spec,
-                     solver=solver, seed=seed, preset=preset_name)
+                     solver=solver, preset=preset_name)
 
 
 def build_problem(cfg: Union[RunConfig, dict, str, Path]):

@@ -128,9 +128,7 @@ def eta_monitor(grid: Grid, field: Field, angle: AngleData,
         raise ValueError("monitor constants K, S must be positive")
     if S is None:
         S = grid.geom.hess_d_bound + 2.0
-    ext = field.values
-    c, _ = ops.node_slopes(grid, ext)
-    w_node = ops.node_area_element(grid, ext)
+    c, _, w_node = ops.node_terms(grid, field.values)
     d_vals, dd = grid.distance_terms
     phi_ext = angle.extension(grid)
     grad_dot = c * dd

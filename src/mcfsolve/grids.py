@@ -79,6 +79,23 @@ class Grid:
         shape = (-1, 1) if self.is_disk else (-1,)
         return np.reshape(d, shape), np.reshape(dd, shape)
 
+    @cached_property
+    def quad_row(self) -> np.ndarray:
+        """Quadrature weights of the volume integral, shaped like the field:
+        the clipped-cell masses, times |S^{n-1}| on a ball and h_theta on
+        each ray of the disk; computed once per grid."""
+        if self.is_disk:
+            return np.outer(self.quad_masses, np.full(self.n_theta, self.h_theta))
+        if self.geom.kind == "radial_ball":
+            return self.quad_masses * self.geom.sphere_area
+        return self.quad_masses
+
+    @cached_property
+    def cell_weights(self) -> np.ndarray:
+        """Cell measures of the flux form, shaped like the field: sigma_i h_r,
+        times h_theta on the disk."""
+        return self.op_weights[:, None] * self.h_theta if self.is_disk else self.op_weights
+
 
 def make_grid(geom: Geometry, n_r: int, n_theta: Optional[int] = None) -> Grid:
     """Build the structured grid for a geometry at resolution n_r
@@ -195,12 +212,13 @@ class AngleData:
             raise ValueError("contact angle magnitude must be strictly below 1")
 
     def extension(self, grid: Grid) -> np.ndarray:
-        """phi extended to the interior nodes, constant along normal rays."""
+        """phi extended to the interior nodes, constant along normal rays
+        (a read-only view on the disk)."""
         if grid.geom.kind == "interval":
             mid = 0.5 * (grid.geom.a + grid.geom.b)
             return np.where(grid.nodes < mid, self.phi[0], self.phi[1])
         if grid.is_disk:
-            return np.broadcast_to(self.phi, (grid.n_nodes, grid.n_theta)).copy()
+            return np.broadcast_to(self.phi, (grid.n_nodes, grid.n_theta))
         return np.full(grid.n_nodes, self.phi[0])
 
 

@@ -30,8 +30,15 @@ The lagged matrix of the semi-implicit step is the same flux form with its
 face factors W_f, W_t and node factors W frozen, so it is written directly
 from them: tridiagonal in 1-D, 5-point (periodic in theta) plus the ghost
 coupling of the last ring on the disk.  Coloring is used for the Newton
-Jacobian only.  One helper, _face_terms, computes the face and node factors
-for the nonlinear operator, the flux balance and the lagged matrix.
+Jacobian only.
+
+Each quantity of the flux form is computed in one place.  node_terms gives
+the centered slopes and W at the nodes (for node_slopes, node_area_element
+and the flow monitor); _face_terms adds the face slopes and factors (for the
+lagged matrix); and one kernel, _flux_differences, gives the face fluxes and
+each node's net flux for the interval (sigma = 1), the balls and the disk.
+mcf_from_extended divides that net flux by the cell measure, and
+flux_balance sums it.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ __all__ = [
     "contact_normal_slope",
     "node_area_element",
     "node_slopes",
+    "node_terms",
     "semi_implicit_matrix",
 ]
 
@@ -77,12 +85,11 @@ def contact_normal_slope(phi, tangential_sq=0.0):
 
 def _normal_slope(grid: Grid, interior: np.ndarray, angle: AngleData):
     """Closed-form boundary normal derivative(s) p for the ghost closure."""
-    phi = angle.phi
     if grid.is_disk:
         du = np.roll(interior[-1], -1) - np.roll(interior[-1], 1)
         tang = du / (2.0 * grid.h_theta * grid.geom.R)
-        return phi * np.sqrt((1.0 + tang * tang) / (1.0 - phi * phi))
-    return phi / np.sqrt(1.0 - phi * phi)
+        return contact_normal_slope(angle.phi, tang * tang)
+    return contact_normal_slope(angle.phi)
 
 
 def extend_values(grid: Grid, interior: np.ndarray, angle: AngleData) -> np.ndarray:
@@ -117,60 +124,67 @@ def ghost_fill(grid: Grid, field: Field, angle: AngleData) -> Field:
     return Field(extend_values(grid, interior, angle), field.t)
 
 
+def node_terms(grid: Grid, ext: np.ndarray):
+    """Centered slopes and the area element at the real nodes of ext.
+
+    Returns (c, w_ext, W): the radial (coordinate) slope c; on the disk the
+    physical tangential slope of every extended row, pole mirror and ghost
+    rows included (None in 1-D); and W = sqrt(1 + c^2 + w^2) with w the
+    tangential slope of the real nodes.  Accepts complex input.
+    """
+    h = grid.h_r
+    c = (ext[2:] - ext[:-2]) / (2.0 * h)
+    if not grid.is_disk:
+        return c, None, np.sqrt(1.0 + c * c)
+    r = grid.nodes
+    r_ext = np.concatenate(([r[0]], r, [grid.geom.R + h]))
+    du = np.roll(ext, -1, axis=1) - np.roll(ext, 1, axis=1)
+    w_ext = du / (2.0 * grid.h_theta * r_ext[:, None])
+    w = w_ext[1:-1]
+    return c, w_ext, np.sqrt(1.0 + c * c + w * w)
+
+
 def _face_terms(grid: Grid, ext: np.ndarray):
     """Area elements and slopes of the flux form at ext: the node factor W,
     the one-sided radial face slopes with their face factors W_f, and on the
     disk the angular face slopes with their factors W_t (None in 1-D).  The
     face fluxes are s / W_f; accepts complex input."""
-    h = grid.h_r
-    s_r = (ext[1:] - ext[:-1]) / h
-    c = (ext[2:] - ext[:-2]) / (2.0 * h)
-    if not grid.is_disk:
-        return np.sqrt(1.0 + c * c), s_r, np.sqrt(1.0 + s_r * s_r), None, None
+    c, w_ext, w_node = node_terms(grid, ext)
+    s_r = (ext[1:] - ext[:-1]) / grid.h_r
+    if w_ext is None:
+        return w_node, s_r, np.sqrt(1.0 + s_r * s_r), None, None
     ht = grid.h_theta
-    r = grid.nodes
-    r_ext = np.concatenate(([r[0]], r, [grid.geom.R + h]))
-    w_ext = (np.roll(ext, -1, axis=1) - np.roll(ext, 1, axis=1)) / (2.0 * ht * r_ext[:, None])
     wbar2 = 0.5 * (w_ext[:-1] ** 2 + w_ext[1:] ** 2)
     wf_r = np.sqrt(1.0 + s_r * s_r + wbar2)
     u = ext[1:-1]
     s_t = (np.roll(u, -1, axis=1) - u) / ht
     cbar2 = 0.5 * (c ** 2 + np.roll(c, -1, axis=1) ** 2)
-    wf_t = np.sqrt(1.0 + (s_t / r[:, None]) ** 2 + cbar2)
-    w_node = np.sqrt(1.0 + c ** 2 + w_ext[1:-1] ** 2)
+    wf_t = np.sqrt(1.0 + (s_t / grid.nodes[:, None]) ** 2 + cbar2)
     return w_node, s_r, wf_r, s_t, wf_t
 
 
-def _mcf_interval(grid: Grid, ext: np.ndarray) -> np.ndarray:
-    w_node, s, wf, _, _ = _face_terms(grid, ext)
-    q = s / wf
-    return w_node * (q[1:] - q[:-1]) / grid.h_r
+def _flux_differences(grid: Grid, ext: np.ndarray):
+    """The flux-form kernel: (W, F, D) at ext.
 
-
-def _mcf_radial(grid: Grid, ext: np.ndarray) -> np.ndarray:
-    w_node, s, wf, _, _ = _face_terms(grid, ext)
-    q = s / wf
-    sf = grid.sigma_faces
-    div = (sf[1:] * q[1:] - sf[:-1] * q[:-1]) / (grid.sigma_nodes * grid.h_r)
-    return w_node * div
-
-
-def _mcf_disk(grid: Grid, ext: np.ndarray) -> np.ndarray:
+    F holds the sigma-weighted radial face fluxes sigma_f s_f / W_f, and D
+    each node's net outflow through its cell faces in the measure of the
+    cell, sigma_i h (times h_theta on the disk), so that div_i = D_i /
+    Grid.cell_weights.  sigma is 1 on the interval.  Accepts complex input.
+    """
     w_node, s_r, wf_r, s_t, wf_t = _face_terms(grid, ext)
-    q_r, q_t = s_r / wf_r, s_t / wf_t
-    r = grid.nodes[:, None]
-    sf = grid.sigma_faces[:, None]
-    div_r = (sf[1:] * q_r[1:] - sf[:-1] * q_r[:-1]) / (grid.sigma_nodes[:, None] * grid.h_r)
-    div_t = (q_t - np.roll(q_t, 1, axis=1)) / (r * r * grid.h_theta)
-    return w_node * (div_r + div_t)
+    if s_t is None:
+        flux = grid.sigma_faces * (s_r / wf_r)
+        return w_node, flux, flux[1:] - flux[:-1]
+    flux = grid.sigma_faces[:, None] * (s_r / wf_r)
+    q_t = s_t / wf_t
+    net = ((flux[1:] - flux[:-1]) * grid.h_theta
+           + (q_t - np.roll(q_t, 1, axis=1)) * (grid.h_r / grid.nodes[:, None]))
+    return w_node, flux, net
 
 
 def mcf_from_extended(grid: Grid, ext: np.ndarray) -> np.ndarray:
-    if grid.geom.kind == "interval":
-        return _mcf_interval(grid, ext)
-    if grid.is_disk:
-        return _mcf_disk(grid, ext)
-    return _mcf_radial(grid, ext)
+    w_node, _, net = _flux_differences(grid, ext)
+    return w_node * (net / grid.cell_weights)
 
 
 def mcf_operator(grid: Grid, field: Field) -> Field:
@@ -185,21 +199,13 @@ def mcf_operator(grid: Grid, field: Field) -> Field:
 def node_slopes(grid: Grid, ext: np.ndarray):
     """Centered slopes at the real nodes: radial (coordinate) slope, and
     the physical tangential slope on the disk (None otherwise)."""
-    c = (ext[2:] - ext[:-2]) / (2.0 * grid.h_r)
-    if not grid.is_disk:
-        return c, None
-    r = grid.nodes[:, None]
-    u = ext[1:-1]
-    w = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * grid.h_theta * r)
-    return c, w
+    c, w_ext, _ = node_terms(grid, ext)
+    return c, None if w_ext is None else w_ext[1:-1]
 
 
 def node_area_element(grid: Grid, ext: np.ndarray) -> np.ndarray:
     """W = sqrt(1 + |grad u|^2) at the real nodes."""
-    c, w = node_slopes(grid, ext)
-    if w is None:
-        return np.sqrt(1.0 + c * c)
-    return np.sqrt(1.0 + c * c + w * w)
+    return node_terms(grid, ext)[2]
 
 
 # -- quadratures --------------------------------------------------------------
@@ -215,17 +221,7 @@ def integrate_domain(grid: Grid, f) -> float:
     v = _interior_of(f)
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot integrate non-finite values")
-    if grid.is_disk:
-        return float(np.sum(grid.quad_masses[:, None] * v) * grid.h_theta)
-    total = float(np.dot(grid.quad_masses, v))
-    if grid.geom.kind == "radial_ball":
-        total *= grid.geom.sphere_area
-    return total
-
-
-def domain_volume(grid: Grid) -> float:
-    ones = np.ones(grid.shape)
-    return integrate_domain(grid, ones)
+    return float(np.vdot(grid.quad_row, v))
 
 
 def integrate_boundary(grid: Grid, angle: AngleData) -> float:
@@ -242,7 +238,7 @@ def integrate_boundary(grid: Grid, angle: AngleData) -> float:
 
 
 def field_mean(grid: Grid, f) -> float:
-    return integrate_domain(grid, f) / domain_volume(grid)
+    return integrate_domain(grid, f) / float(grid.quad_row.sum())
 
 
 def field_osc(f) -> float:
@@ -258,20 +254,13 @@ def flux_balance(grid: Grid, ext: np.ndarray) -> Tuple[float, float, float]:
     telescoped outermost-face flux, and gap their difference.  For any
     ghost-closed field the gap is pure roundoff.
     """
-    _, s_r, wf_r, s_t, wf_t = _face_terms(grid, ext)
-    q = s_r / wf_r
+    _, flux, net = _flux_differences(grid, ext)
+    interior_sum = math.fsum(net.ravel().tolist())
+    faces = flux[-1] - flux[0]  # outer minus inner face; the pole face has sigma = 0
     if grid.is_disk:
-        sf = grid.sigma_faces[:, None]
-        terms_r = (sf[1:] * q[1:] - sf[:-1] * q[:-1]) * grid.h_theta
-        q_t = s_t / wf_t
-        terms_t = (q_t - np.roll(q_t, 1, axis=1)) * (grid.h_r / grid.nodes[:, None])
-        terms = np.concatenate((terms_r.ravel(), terms_t.ravel()))
-        bflux = float(math.fsum((grid.sigma_faces[-1] * q[-1] * grid.h_theta).tolist()))
-    else:  # sigma is 1 on the interval, so its faces carry unit weight
-        sf = grid.sigma_faces
-        terms = sf[1:] * q[1:] - sf[:-1] * q[:-1]
-        bflux = float(sf[-1] * q[-1] - sf[0] * q[0])
-    interior_sum = math.fsum(np.asarray(terms).ravel().tolist())
+        bflux = math.fsum((faces * grid.h_theta).tolist())
+    else:
+        bflux = float(faces)
     return interior_sum, bflux, interior_sum - bflux
 
 
@@ -285,8 +274,7 @@ def discrete_speed(grid: Grid, ext: np.ndarray) -> float:
     the flux-balance quadrature C_quad, which is only O(h^2)-close.
     """
     _, bflux, _ = flux_balance(grid, ext)
-    weights = grid.op_weights[:, None] * grid.h_theta if grid.is_disk else grid.op_weights
-    mass = math.fsum((weights / node_area_element(grid, ext)).ravel().tolist())
+    mass = math.fsum((grid.cell_weights / node_area_element(grid, ext)).ravel().tolist())
     return bflux / mass
 
 

@@ -87,20 +87,11 @@ class SolitonResult:
     angle: AngleData
 
 
-def _quad_row(grid: Grid) -> np.ndarray:
-    if grid.is_disk:
-        return np.repeat(grid.quad_masses, grid.n_theta) * grid.h_theta
-    w = grid.quad_masses.copy()
-    if grid.geom.kind == "radial_ball":
-        w = w * grid.geom.sphere_area
-    return w
-
-
 def _newton_eps(grid: Grid, angle: AngleData, eps: float,
                 v: np.ndarray, mu_t: float, policy: NewtonPolicy):
     """Damped Newton for the split system; returns (v, mu_t, iterations)."""
     n = grid.n_unknowns
-    quad = _quad_row(grid)
+    quad = grid.quad_row.ravel()
     vol = float(quad.sum())
     shape = grid.shape
 

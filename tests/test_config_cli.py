@@ -17,7 +17,6 @@ class TestParseConfig:
         assert cfg.solver.n_r == 200
         assert cfg.solver.scheme == "semi_implicit"
         assert cfg.solver.dt is None
-        assert cfg.seed == 0
 
     def test_steep_angle_rejected(self):
         bad = {**MINIMAL, "angle": {"phi": "const:0.99"}}
@@ -37,6 +36,8 @@ class TestParseConfig:
             parse_config({**MINIMAL, "solver": {"NR": 100}})
         with pytest.raises(ConfigError, match="solver"):
             parse_config({**MINIMAL, "solver": {"eps_ratio": 0.5}})
+        with pytest.raises(ConfigError, match="top-level"):
+            parse_config({**MINIMAL, "seed": 0})
         with pytest.raises(ConfigError, match="unknown keys"):
             parse_config({"geometry": {"kind": "interval", "a": -1, "b": 1, "x": 0},
                           "angle": {"phi": "const:0.0"}})
@@ -75,10 +76,6 @@ class TestParseConfig:
         emit_outputs(tmp_path, {"resolved_config.json": ("json", cfg.resolved())})
         again = parse_config(tmp_path / "resolved_config.json")
         assert again.resolved() == cfg.resolved()
-
-    def test_seed_type(self):
-        with pytest.raises(ConfigError, match="seed"):
-            parse_config({**MINIMAL, "seed": "zero"})
 
     def test_build_problem(self):
         geom, grid, angle = build_problem({"preset": "grim_reaper"})

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st_
 
 from mcfsolve import (angle_from_spec, contact_normal_slope, field_mean,
                       flux_balance, ghost_fill, integrate_boundary,
@@ -9,6 +10,41 @@ from mcfsolve import (angle_from_spec, contact_normal_slope, field_mean,
                       mcf_operator, node_area_element)
 from mcfsolve.operators import mcf_from_extended, semi_implicit_matrix
 from conftest import PHI_GRIM, grim_reaper_exact, make_problem
+
+
+def draw_problem(data):
+    """A random admissible grid and angle: the interval, flat, hyperbolic and
+    pinched balls, and the disk with Fourier angle data; |phi| <= 0.95 and
+    coarse, odd radial resolutions included."""
+    kind = data.draw(st_.sampled_from(["interval", "flat", "hyperbolic", "pinched_ch",
+                                       "polar_disk"]))
+    n_r = data.draw(st_.integers(8, 41))
+    phi0 = data.draw(st_.floats(-0.95, 0.95))
+    if kind == "interval":
+        a = data.draw(st_.floats(-2.0, -0.2))
+        geom = make_geometry({"kind": "interval", "a": a,
+                              "b": a + data.draw(st_.floats(0.4, 3.0))})
+        grid = make_grid(geom, n_r)
+        return grid, angle_from_spec(grid, f"const:{phi0!r}")
+    if kind == "polar_disk":
+        geom = make_geometry({"kind": "polar_disk", "R": data.draw(st_.floats(0.3, 2.0))})
+        grid = make_grid(geom, min(n_r, 21), 2 * data.draw(st_.integers(4, 12)))
+        coeffs = [phi0] + data.draw(st_.lists(st_.floats(-1.0, 1.0), max_size=6))
+        scale = 0.95 / max(0.95, sum(abs(c) for c in coeffs))
+        return grid, angle_from_spec(grid, "fourier:" + ",".join(repr(c * scale) for c in coeffs))
+    curvature = {"model": kind}
+    if kind != "flat":
+        curvature["K"] = data.draw(st_.floats(0.2, 3.0))
+    geom = make_geometry({"kind": "radial_ball", "n": data.draw(st_.integers(2, 5)),
+                          "R": data.draw(st_.floats(0.1, 3.0)), "curvature": curvature})
+    grid = make_grid(geom, n_r)
+    return grid, angle_from_spec(grid, f"const:{phi0!r}")
+
+
+def draw_field(data, grid, angle):
+    rng = np.random.default_rng(data.draw(st_.integers(0, 2 ** 32 - 1)))
+    amplitude = data.draw(st_.floats(0.0, 1.0))
+    return ghost_fill(grid, make_field(grid, amplitude * rng.standard_normal(grid.shape)), angle)
 
 
 def grim_grid(n_cells):
@@ -149,6 +185,25 @@ class TestGhostFill:
             w = np.sqrt(1 + p * p + tang * tang)
             assert np.max(np.abs(p / w - angle.phi)) < 1e-14
 
+    @settings(max_examples=200, deadline=None)
+    @given(st_.data())
+    def test_closure_reproduces_phi(self, data):
+        # the centered boundary slope over W equals phi on every geometry; the
+        # slope is recovered from a difference of field values over 2h, so it
+        # carries their rounding divided by h on top of the closed form's
+        grid, angle = draw_problem(data)
+        v = draw_field(data, grid, angle).values
+        h = grid.h_r
+        tang = 0.0
+        if grid.geom.kind == "interval":
+            p = np.array([v[2] - v[0], v[-3] - v[-1]]) / (2 * h)
+        else:
+            p = (v[-3] - v[-1]) / (2 * h)
+            if grid.is_disk:
+                tang = (np.roll(v[-2], -1) - np.roll(v[-2], 1)) / (2 * grid.h_theta * grid.geom.R)
+        tol = 1e-14 + 8 * np.finfo(float).eps * np.max(np.abs(v)) / h
+        assert np.max(np.abs(p / np.sqrt(1 + p * p + tang * tang) - angle.phi)) <= tol
+
 
 class TestQuadrature:
     def test_flat_disk_area(self):
@@ -195,6 +250,21 @@ class TestDivergenceIdentity:
             f = ghost_fill(grid, make_field(grid, 0.4 * rng.standard_normal(grid.shape)), angle)
             _, _, gap = flux_balance(grid, f.values)
             assert abs(gap) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st_.data())
+    def test_operator_sums_to_telescoped_flux(self, data):
+        # the operator and the telescoping check share one kernel: the cell
+        # measures times div = mcf / W sum to flux_balance's interior sum, and
+        # that telescopes to the boundary flux up to rounding relative to it
+        grid, angle = draw_problem(data)
+        ext = draw_field(data, grid, angle).values
+        interior_sum, boundary_flux, gap = flux_balance(grid, ext)
+        weights = grid.op_weights[:, None] * grid.h_theta if grid.is_disk else grid.op_weights
+        div = mcf_from_extended(grid, ext) / node_area_element(grid, ext)
+        total = math.fsum((weights * div).ravel().tolist())
+        assert abs(total - interior_sum) <= 1e-12 * max(1.0, abs(interior_sum))
+        assert abs(gap) <= 1e-12 * max(1.0, abs(boundary_flux))
 
 
 class TestSemiImplicitMatrix:

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st_
 from mcfsolve import (Field, SolverError, StepPolicy, auto_dt, build_problem,
                       catalog_cases, eta_monitor, initial_state, parse_config,
                       run_until, solve_soliton, speed_estimate, step)
-from mcfsolve import operators as ops
 from mcfsolve.flow import FlowHistory, _window_start
 from mcfsolve.geometry import Geometry
 
@@ -261,9 +260,16 @@ class TestEtaMonitor:
         f = Field(st.field.values + 0.1 * rng.standard_normal(grid.ext_shape), 0.4)
         K, C = 5.0, 0.3
         got, _ = eta_monitor(grid, f, angle, K=K, C=C)
-        # from scratch, without the cached distance terms
-        c, _ = ops.node_slopes(grid, f.values)
-        w = ops.node_area_element(grid, f.values)
+        # from scratch: centered slopes and W inline, no cached distance terms
+        v = f.values
+        c = (v[2:] - v[:-2]) / (2.0 * grid.h_r)
+        if grid.is_disk:
+            u = v[1:-1]
+            w_t = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * grid.h_theta
+                                                                      * grid.nodes[:, None])
+            w = np.sqrt(1.0 + c * c + w_t * w_t)
+        else:
+            w = np.sqrt(1.0 + c * c)
         d, _ = geom.smoothed_distance(grid.nodes)
         dd = geom.smoothed_distance_gradient(grid.nodes)
         if grid.is_disk:
