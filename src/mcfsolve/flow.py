@@ -8,7 +8,11 @@ Two schemes:
 * ``semi_implicit`` (default): backward Euler on the flux form with W
   factors and boundary normal slopes lagged at the previous step, solved
   in increment form (I - dt*M) du = dt*F(u).  Unconditionally stable for
-  the lagged linearization; dt defaults to h_r.
+  the lagged linearization; dt defaults to h_r.  The lagged matrix is a
+  strictly diagonally dominant M-matrix with a symmetric pattern (see
+  operators.semi_implicit_matrix), so SuperLU factors it without pivoting
+  in a minimum-degree ordering of A^T + A, which fills in less than the
+  default column ordering with partial pivoting.
 
 Each step appends one history row (t, max_W, osc, speed estimate, max of
 W*eta) where eta is the weighted gradient monitor
@@ -19,7 +23,13 @@ with d the smoothed boundary distance.  The history is the empirical
 record behind the uniform gradient bound and bounded-drift checks.
 Recording a row costs the same however long the history is: the speed
 window is found by bisection on the time list, and the distance terms of
-the monitor are computed once per grid (``Grid.distance_terms``).
+the monitor, its default S and the extension of phi are computed once per
+grid (``Grid.distance_terms``, ``AngleData.extension``).
+
+A step reads one flux record per field (``FlowState.terms``, an
+operators.FluxTerms): the record of the new field gives max W and the
+monitor of its history row, and the next step's right-hand side and lagged
+matrix, so the slopes and area elements are computed once per step.
 """
 
 from __future__ import annotations
@@ -99,10 +109,20 @@ class FlowState:
     field: Field
     history: FlowHistory
     snapshots: List[Tuple[float, np.ndarray]] = dc_field(default_factory=list)
+    _terms: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def t(self) -> float:
         return self.field.t
+
+    @property
+    def terms(self) -> ops.FluxTerms:
+        """The flux record of the current field, computed once per field."""
+        values, terms = self._terms
+        if values is not self.field.values:
+            terms = ops.flux_terms(self.grid, self.field.values)
+            self._terms = (self.field.values, terms)
+        return terms
 
 
 def auto_dt(grid: Grid, policy: StepPolicy) -> float:
@@ -118,18 +138,24 @@ def auto_dt(grid: Grid, policy: StepPolicy) -> float:
 
 
 def eta_monitor(grid: Grid, field: Field, angle: AngleData,
-                K: float = 5.0, S: Optional[float] = None, C: float = 0.0):
+                K: float = 5.0, S: Optional[float] = None, C: float = 0.0,
+                terms: Optional[ops.FluxTerms] = None):
     """Maximum of W*eta over the grid and its location.
 
+    S defaults to the Hessian bound of d plus 2.  ``terms``, the field's
+    flux record if the caller has it, saves recomputing the slopes and W.
     Evaluated in log space; eta is positive because |phi| |grad u| < W
     and |grad d| <= 1, so the bracket stays above 1 - phi0.
     """
     if K <= 0 or (S is not None and S <= 0):
         raise ValueError("monitor constants K, S must be positive")
+    d_vals, dd, hess_d = grid.distance_terms
     if S is None:
-        S = grid.geom.hess_d_bound + 2.0
-    c, _, w_node = ops.node_terms(grid, field.values)
-    d_vals, dd = grid.distance_terms
+        S = hess_d + 2.0
+    if terms is None:
+        c, _, w_node = ops.node_terms(grid, field.values)
+    else:
+        c, w_node = terms.c, terms.w_node
     phi_ext = angle.extension(grid)
     grad_dot = c * dd
     bracket = S * d_vals + 1.0 - (phi_ext / w_node) * grad_dot
@@ -161,7 +187,7 @@ def _window_start(t: List[float], target: float) -> int:
 def _record(state: FlowState, angle: AngleData, tau: float, eta_k: float):
     grid, field = state.grid, state.field
     with np.errstate(over="ignore"):  # a diverging run may log inf monitors
-        w_node = ops.node_area_element(grid, field.values)
+        terms = state.terms
         mean_u = ops.field_mean(grid, field)
         osc = ops.field_osc(field)
         try:
@@ -169,8 +195,8 @@ def _record(state: FlowState, angle: AngleData, tau: float, eta_k: float):
         except ValueError:
             spd = math.nan
         c_for_eta = 0.0 if math.isnan(spd) else spd
-        weta, _ = eta_monitor(grid, field, angle, K=eta_k, C=c_for_eta)
-        state.history.append(field.t, mean_u, float(np.max(w_node)), osc, spd, weta)
+        weta, _ = eta_monitor(grid, field, angle, K=eta_k, C=c_for_eta, terms=terms)
+        state.history.append(field.t, mean_u, float(np.max(terms.w_node)), osc, spd, weta)
 
 
 def initial_state(grid: Grid, angle: AngleData, u0=0.0, eta_k: float = 5.0) -> FlowState:
@@ -192,19 +218,22 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
     grid, field = state.grid, state.field
     dt = auto_dt(grid, policy)
     interior = field.interior
+    terms = state.terms
 
     if policy.scheme == "explicit":
         with np.errstate(all="ignore"):  # blow-up is reported, not warned
-            rhs = ops.mcf_from_extended(grid, field.values)
+            rhs = ops.mcf_from_extended(grid, terms)
             new_int = interior + dt * rhs
         if not np.all(np.isfinite(new_int)):
             raise SolverError("explicit step produced non-finite values (time step too large)")
     else:
-        rhs = dt * ops.mcf_from_extended(grid, field.values)
+        rhs = dt * ops.mcf_from_extended(grid, terms)
         if np.any(rhs):
-            a_mat = ops.semi_implicit_matrix(grid, field.values, angle, dt)
+            a_mat = ops.semi_implicit_matrix(grid, terms, angle, dt)
             try:
-                delta = splu(a_mat).solve(rhs.ravel()).reshape(grid.shape)
+                lu = splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
+                delta = lu.solve(rhs.ravel()).reshape(grid.shape)
             except RuntimeError as exc:
                 raise SolverError(f"semi-implicit solve failed: {exc}") from exc
             if not np.all(np.isfinite(delta)):

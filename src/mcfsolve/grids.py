@@ -22,7 +22,7 @@ Fields store one ghost layer: 1D values have shape (M+2,), disk values
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Callable, Optional, Union
 
@@ -73,11 +73,12 @@ class Grid:
     @cached_property
     def distance_terms(self):
         """Smoothed boundary distance d and its coordinate derivative at the
-        real nodes, shaped to broadcast on the interior; computed once per grid."""
-        d, _ = self.geom.smoothed_distance(self.nodes)
+        real nodes, shaped to broadcast on the interior, and the bound C_d
+        on |Hess d|; computed once per grid."""
+        d, hess_d = self.geom.smoothed_distance(self.nodes)
         dd = self.geom.smoothed_distance_gradient(self.nodes)
         shape = (-1, 1) if self.is_disk else (-1,)
-        return np.reshape(d, shape), np.reshape(dd, shape)
+        return np.reshape(d, shape), np.reshape(dd, shape), hess_d
 
     @cached_property
     def quad_row(self) -> np.ndarray:
@@ -204,22 +205,30 @@ class AngleData:
 
     phi: np.ndarray
     phi0: float
+    _extensions: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.phi)):
             raise ValueError("contact angle must be finite")
-        if not self.phi0 < 1.0:
+        if not self.phi0 < 1.0 or np.any(np.abs(self.phi) >= 1.0):
             raise ValueError("contact angle magnitude must be strictly below 1")
 
     def extension(self, grid: Grid) -> np.ndarray:
-        """phi extended to the interior nodes, constant along normal rays
-        (a read-only view on the disk)."""
+        """phi extended to the interior nodes, constant along normal rays;
+        read-only and computed once per grid."""
+        grid_of, ext = self._extensions.get(id(grid), (None, None))
+        if grid_of is grid:
+            return ext
         if grid.geom.kind == "interval":
             mid = 0.5 * (grid.geom.a + grid.geom.b)
-            return np.where(grid.nodes < mid, self.phi[0], self.phi[1])
-        if grid.is_disk:
-            return np.broadcast_to(self.phi, (grid.n_nodes, grid.n_theta))
-        return np.full(grid.n_nodes, self.phi[0])
+            ext = np.where(grid.nodes < mid, self.phi[0], self.phi[1])
+        elif grid.is_disk:
+            ext = np.broadcast_to(self.phi, (grid.n_nodes, grid.n_theta))
+        else:
+            ext = np.full(grid.n_nodes, self.phi[0])
+        ext.flags.writeable = False
+        self._extensions[id(grid)] = (grid, ext)  # holding grid keeps its id unique
+        return ext
 
 
 def angle_from_spec(grid: Grid, spec: str) -> AngleData:

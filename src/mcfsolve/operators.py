@@ -29,14 +29,19 @@ analytic derivatives to machine precision, one color group at a time.
 The lagged matrix of the semi-implicit step is the same flux form with its
 face factors W_f, W_t and node factors W frozen, so it is written directly
 from them: tridiagonal in 1-D, 5-point (periodic in theta) plus the ghost
-coupling of the last ring on the disk.  Coloring is used for the Newton
-Jacobian only.
+coupling of the last ring on the disk.  Its sparsity pattern depends on the
+grid only and is cached per grid (like the Newton coloring), in canonical
+CSC order (rows sorted within each column) and read-only: SuperLU's
+duplicate summing sorts an unsorted pattern in place, which would corrupt a
+shared one, and a canonical pattern needs no sort at all.  A call computes
+the weights and gathers them into the data vector.
 
-Each quantity of the flux form is computed in one place.  node_terms gives
-the centered slopes and W at the nodes (for node_slopes, node_area_element
-and the flow monitor); _face_terms adds the face slopes and factors (for the
-lagged matrix); and one kernel, _flux_differences, gives the face fluxes and
-each node's net flux for the interval (sigma = 1), the balls and the disk.
+Each quantity of the flux form is computed in one place.  node_terms
+gives the centered slopes and W at the nodes, and flux_terms adds the face
+slopes and factors; its FluxTerms record is what the operator, the lagged
+matrix and the flow monitors read, so a flow step builds one record per
+field.  One kernel, _flux_differences, gives the face fluxes and each
+node's net flux for the interval (sigma = 1), the balls and the disk.
 mcf_from_extended divides that net flux by the cell measure, and
 flux_balance sums it.
 """
@@ -44,7 +49,7 @@ flux_balance sums it.
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,12 +69,17 @@ __all__ = [
     "capillary_jacobian",
     "contact_normal_slope",
     "node_area_element",
-    "node_slopes",
     "node_terms",
+    "FluxTerms",
+    "flux_terms",
     "semi_implicit_matrix",
 ]
 
 _CSTEP = 1e-50
+
+
+def _slope_closed_form(phi, tangential_sq):
+    return phi * np.sqrt((1.0 + tangential_sq) / (1.0 - phi * phi))
 
 
 def contact_normal_slope(phi, tangential_sq=0.0):
@@ -79,17 +89,18 @@ def contact_normal_slope(phi, tangential_sq=0.0):
     phi = np.asarray(phi, dtype=float)
     if np.any(np.abs(phi) >= 1.0):
         raise ValueError("ill-posed contact angle: |phi| must be below 1")
-    out = phi * np.sqrt((1.0 + tangential_sq) / (1.0 - phi * phi))
+    out = _slope_closed_form(phi, tangential_sq)
     return out if out.ndim else float(out)
 
 
 def _normal_slope(grid: Grid, interior: np.ndarray, angle: AngleData):
-    """Closed-form boundary normal derivative(s) p for the ghost closure."""
+    """Closed-form boundary normal derivative(s) p for the ghost closure;
+    AngleData guarantees |phi| < 1, so no guard is needed here."""
     if grid.is_disk:
         du = np.roll(interior[-1], -1) - np.roll(interior[-1], 1)
         tang = du / (2.0 * grid.h_theta * grid.geom.R)
-        return contact_normal_slope(angle.phi, tang * tang)
-    return contact_normal_slope(angle.phi)
+        return _slope_closed_form(angle.phi, tang * tang)
+    return _slope_closed_form(angle.phi, 0.0)
 
 
 def extend_values(grid: Grid, interior: np.ndarray, angle: AngleData) -> np.ndarray:
@@ -119,8 +130,6 @@ def ghost_fill(grid: Grid, field: Field, angle: AngleData) -> Field:
     interior = np.asarray(field.interior, dtype=float)
     if not np.all(np.isfinite(interior)):
         raise ValueError("field has non-finite interior values")
-    if not angle.phi0 < 1.0:
-        raise ValueError("ill-posed contact angle: |phi| must be below 1")
     return Field(extend_values(grid, interior, angle), field.t)
 
 
@@ -144,15 +153,27 @@ def node_terms(grid: Grid, ext: np.ndarray):
     return c, w_ext, np.sqrt(1.0 + c * c + w * w)
 
 
-def _face_terms(grid: Grid, ext: np.ndarray):
-    """Area elements and slopes of the flux form at ext: the node factor W,
-    the one-sided radial face slopes with their face factors W_f, and on the
-    disk the angular face slopes with their factors W_t (None in 1-D).  The
-    face fluxes are s / W_f; accepts complex input."""
+class FluxTerms(NamedTuple):
+    """The flux-form quantities of one ghost-closed field (see flux_terms)."""
+
+    c: np.ndarray                 # centered radial slope at the nodes
+    w_ext: Optional[np.ndarray]   # disk: tangential slope of every extended row
+    w_node: np.ndarray            # W at the nodes
+    s_r: np.ndarray               # one-sided radial face slopes
+    wf_r: np.ndarray              # their face factors W_f
+    s_t: Optional[np.ndarray]     # disk: angular face slopes
+    wf_t: Optional[np.ndarray]    # disk: their face factors W_t
+
+
+def flux_terms(grid: Grid, ext: np.ndarray) -> FluxTerms:
+    """Slopes and area elements of the flux form at ext: node_terms plus the
+    one-sided radial face slopes with their factors W_f, and on the disk the
+    angular face slopes with their factors W_t (None in 1-D).  The face
+    fluxes are s / W_f; accepts complex input."""
     c, w_ext, w_node = node_terms(grid, ext)
     s_r = (ext[1:] - ext[:-1]) / grid.h_r
     if w_ext is None:
-        return w_node, s_r, np.sqrt(1.0 + s_r * s_r), None, None
+        return FluxTerms(c, None, w_node, s_r, np.sqrt(1.0 + s_r * s_r), None, None)
     ht = grid.h_theta
     wbar2 = 0.5 * (w_ext[:-1] ** 2 + w_ext[1:] ** 2)
     wf_r = np.sqrt(1.0 + s_r * s_r + wbar2)
@@ -160,31 +181,38 @@ def _face_terms(grid: Grid, ext: np.ndarray):
     s_t = (np.roll(u, -1, axis=1) - u) / ht
     cbar2 = 0.5 * (c ** 2 + np.roll(c, -1, axis=1) ** 2)
     wf_t = np.sqrt(1.0 + (s_t / grid.nodes[:, None]) ** 2 + cbar2)
-    return w_node, s_r, wf_r, s_t, wf_t
+    return FluxTerms(c, w_ext, w_node, s_r, wf_r, s_t, wf_t)
 
 
-def _flux_differences(grid: Grid, ext: np.ndarray):
-    """The flux-form kernel: (W, F, D) at ext.
+def _terms(grid: Grid, ext) -> FluxTerms:
+    """The record of ext, which may already be one."""
+    return ext if isinstance(ext, FluxTerms) else flux_terms(grid, ext)
+
+
+def _flux_differences(grid: Grid, terms: FluxTerms):
+    """The flux-form kernel: (F, D) of a record.
 
     F holds the sigma-weighted radial face fluxes sigma_f s_f / W_f, and D
     each node's net outflow through its cell faces in the measure of the
     cell, sigma_i h (times h_theta on the disk), so that div_i = D_i /
-    Grid.cell_weights.  sigma is 1 on the interval.  Accepts complex input.
+    Grid.cell_weights.  sigma is 1 on the interval.
     """
-    w_node, s_r, wf_r, s_t, wf_t = _face_terms(grid, ext)
-    if s_t is None:
-        flux = grid.sigma_faces * (s_r / wf_r)
-        return w_node, flux, flux[1:] - flux[:-1]
-    flux = grid.sigma_faces[:, None] * (s_r / wf_r)
-    q_t = s_t / wf_t
+    if terms.s_t is None:
+        flux = grid.sigma_faces * (terms.s_r / terms.wf_r)
+        return flux, flux[1:] - flux[:-1]
+    flux = grid.sigma_faces[:, None] * (terms.s_r / terms.wf_r)
+    q_t = terms.s_t / terms.wf_t
     net = ((flux[1:] - flux[:-1]) * grid.h_theta
            + (q_t - np.roll(q_t, 1, axis=1)) * (grid.h_r / grid.nodes[:, None]))
-    return w_node, flux, net
+    return flux, net
 
 
-def mcf_from_extended(grid: Grid, ext: np.ndarray) -> np.ndarray:
-    w_node, _, net = _flux_differences(grid, ext)
-    return w_node * (net / grid.cell_weights)
+def mcf_from_extended(grid: Grid, ext) -> np.ndarray:
+    """W div(grad u / W) at the nodes of a ghost-closed array ext, or of
+    its FluxTerms record."""
+    terms = _terms(grid, ext)
+    _, net = _flux_differences(grid, terms)
+    return terms.w_node * (net / grid.cell_weights)
 
 
 def mcf_operator(grid: Grid, field: Field) -> Field:
@@ -194,13 +222,6 @@ def mcf_operator(grid: Grid, field: Field) -> Field:
     out = np.full(grid.ext_shape, np.nan)
     out[1:-1] = mcf_from_extended(grid, field.values)
     return Field(out, field.t)
-
-
-def node_slopes(grid: Grid, ext: np.ndarray):
-    """Centered slopes at the real nodes: radial (coordinate) slope, and
-    the physical tangential slope on the disk (None otherwise)."""
-    c, w_ext, _ = node_terms(grid, ext)
-    return c, None if w_ext is None else w_ext[1:-1]
 
 
 def node_area_element(grid: Grid, ext: np.ndarray) -> np.ndarray:
@@ -254,7 +275,7 @@ def flux_balance(grid: Grid, ext: np.ndarray) -> Tuple[float, float, float]:
     telescoped outermost-face flux, and gap their difference.  For any
     ghost-closed field the gap is pure roundoff.
     """
-    _, flux, net = _flux_differences(grid, ext)
+    flux, net = _flux_differences(grid, flux_terms(grid, ext))
     interior_sum = math.fsum(net.ravel().tolist())
     faces = flux[-1] - flux[0]  # outer minus inner face; the pole face has sigma = 0
     if grid.is_disk:
@@ -368,10 +389,48 @@ def capillary_jacobian(grid: Grid, interior: np.ndarray, angle: AngleData,
 # -- lagged-coefficient linear operator for semi-implicit stepping ------------
 
 
-def semi_implicit_matrix(grid: Grid, ext0: np.ndarray, angle: AngleData,
+_PATTERN_CACHE: Dict[tuple, tuple] = {}
+
+
+def _lagged_pattern(grid: Grid):
+    """Cached CSC pattern of the lagged matrix: (indices, indptr, gather,
+    diag), read-only and in canonical order (rows sorted within each
+    column).  The slot values of semi_implicit_matrix, stacked per node in
+    the order below, [right,] diag, [left,] above, give the data vector as
+    stack.ravel()[gather]; diag are the diagonal's positions in it.
+    """
+    key = (grid.geom.kind, grid.n_r, grid.n_theta)
+    if key in _PATTERN_CACHE:
+        return _PATTERN_CACHE[key]
+    n = grid.n_unknowns
+    nt = grid.n_theta if grid.is_disk else 1
+    k = np.arange(n).reshape(grid.shape)
+    # CSC column k holds the rows coupling to node k: the node below through
+    # its weight up, the node above through its weight down, and on the
+    # disk the neighbouring rays
+    if grid.is_disk:
+        slot_rows = [k - nt, np.roll(k, 1, axis=1), k, np.roll(k, -1, axis=1), k + nt]
+    else:
+        slot_rows = [k - nt, k, k + nt]
+    rows = np.stack(slot_rows, axis=-1).ravel()
+    cols = np.repeat(np.arange(n), len(slot_rows))
+    kept = np.flatnonzero((rows >= 0) & (rows < n))  # no pole-face row, no row past the boundary
+    gather = kept[np.lexsort((rows[kept], cols[kept]))]
+    indices, col_of = rows[gather].astype(np.int32), cols[gather]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(col_of, minlength=n))
+    diag = np.flatnonzero(indices == col_of)
+    for arr in (indices, indptr, gather, diag):
+        arr.flags.writeable = False
+    _PATTERN_CACHE[key] = (indices, indptr, gather, diag)
+    return _PATTERN_CACHE[key]
+
+
+def semi_implicit_matrix(grid: Grid, ext0, angle: AngleData,
                          dt: float) -> sp.csc_matrix:
-    """I - dt*M with M the flux form with W factors frozen at ext0.
-    Used in increment form: (I - dt M) du = dt F(u_old).
+    """I - dt*M with M the flux form with W factors frozen at ext0, a
+    ghost-closed array or its FluxTerms record.  Used in increment form:
+    (I - dt M) du = dt F(u_old).
 
     Node i couples to its radial neighbours with weight
     W_i sigma_f / (sigma_i h^2 W_f) through each face f, and on the disk to
@@ -382,44 +441,40 @@ def semi_implicit_matrix(grid: Grid, ext0: np.ndarray, angle: AngleData,
     interval) folds its weight onto the node across the boundary node.
     The pole face has sigma = 0 and couples nothing.  ``angle`` is unused;
     the signature keeps it for existing callers.
+
+    The matrix is structurally symmetric, and since every weight is
+    positive and the ghost fold only moves weight onto an existing
+    neighbour, it is a strictly row-diagonally dominant M-matrix: each row's
+    diagonal exceeds the sum of its off-diagonal magnitudes by exactly 1.
+    Gaussian elimination therefore needs no pivoting in any symmetric
+    ordering, which is how flow.step factors it.
     """
+    terms = _terms(grid, ext0)
     h = grid.h_r
-    w_node, _, wf_r, _, wf_t = _face_terms(grid, ext0)
     sf, sn = grid.sigma_faces, grid.sigma_nodes
     if grid.is_disk:
         sf, sn = sf[:, None], sn[:, None]
-    radial = w_node / (sn * h * h)
-    down = radial * sf[:-1] / wf_r[:-1]  # to node i-1
-    up = radial * sf[1:] / wf_r[1:]      # to node i+1
+    radial = terms.w_node / (sn * h * h)
+    down = radial * sf[:-1] / terms.wf_r[:-1]  # to node i-1
+    up = radial * sf[1:] / terms.wf_r[1:]      # to node i+1
     diag = -(down + up)
     down[-1] += up[-1]  # outer ghost
     if grid.geom.kind == "interval":
         up[0] += down[0]  # left ghost
-    n = grid.n_unknowns
-    nt = grid.n_theta if grid.is_disk else 1
-    k = np.arange(n, dtype=np.int32).reshape(grid.shape)
-    # CSC column k holds the rows coupling to node k: the node below through
-    # its weight up, the node above through its weight down (the wrapped end
-    # values fall on rows outside the grid and are dropped)
+    # the wrapped end values fall on rows outside the grid, not in the pattern
     below = np.concatenate((up[-1:], up[:-1]))
     above = np.concatenate((down[1:], down[:1]))
     if grid.is_disk:
-        angular = w_node / (grid.nodes[:, None] * grid.h_theta) ** 2
-        right = angular / wf_t                       # to ray j+1
-        left = angular / np.roll(wf_t, 1, axis=1)    # to ray j-1
+        angular = terms.w_node / (grid.nodes[:, None] * grid.h_theta) ** 2
+        right = angular / terms.wf_t                     # to ray j+1
+        left = angular / np.roll(terms.wf_t, 1, axis=1)  # to ray j-1
         diag -= right + left
-        slots = [(below, k - nt),
-                 (np.roll(right, 1, axis=1), np.roll(k, 1, axis=1)),
-                 (diag, k),
-                 (np.roll(left, -1, axis=1), np.roll(k, -1, axis=1)),
-                 (above, k + nt)]
+        slots = (below, np.roll(right, 1, axis=1), diag, np.roll(left, -1, axis=1), above)
     else:
-        slots = [(below, k - nt), (diag, k), (above, k + nt)]
-    width = len(slots)
-    rows = np.stack([r for _, r in slots], axis=-1).ravel()
-    data = -dt * np.stack([v for v, _ in slots], axis=-1).ravel()
-    data[width // 2::width] += 1.0
-    keep = (rows >= 0) & (rows < n)  # no pole-face row, no row past the boundary
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(keep, dtype=np.int32)[width - 1::width]
-    return sp.csc_matrix((data[keep], rows[keep], indptr), shape=(n, n))
+        slots = (below, diag, above)
+    indices, indptr, gather, diag_at = _lagged_pattern(grid)
+    data = np.stack(slots, axis=-1).ravel()[gather]
+    data *= -dt
+    data[diag_at] += 1.0
+    n = grid.n_unknowns
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_
+from scipy.sparse.linalg import splu
 
-from mcfsolve import (angle_from_spec, contact_normal_slope, field_mean,
+from mcfsolve import operators
+from mcfsolve import (AngleData, angle_from_spec, contact_normal_slope, field_mean,
                       flux_balance, ghost_fill, integrate_boundary,
                       integrate_domain, make_field, make_geometry, make_grid,
                       mcf_operator, node_area_element)
@@ -150,6 +152,12 @@ class TestGhostFill:
     def test_ill_posed_angle(self):
         with pytest.raises(ValueError):
             contact_normal_slope(1.0)
+
+    def test_angle_data_checks_every_entry(self):
+        # the ghost closure relies on AngleData for |phi| < 1, so a bound phi0
+        # that understates an entry must not slip through
+        with pytest.raises(ValueError):
+            AngleData(phi=np.array([1.2]), phi0=0.5)
 
     def test_idempotent(self):
         grid, angle = grim_grid(32)
@@ -298,3 +306,24 @@ class TestSemiImplicitMatrix:
             assert np.max(gap[-1]) > 1e-3 * scale
             gap = gap[1:-1] if kind == "interval" else gap[:-1]
         assert np.max(gap) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("kind,phi", [
+        ("interval", "const:-0.4"),
+        ("polar_disk", "fourier:0.05,0.1,0.05"),
+    ])
+    def test_cached_pattern_survives_factorization(self, kind, phi, monkeypatch):
+        # the pattern is shared by every lagged matrix of the grid; factoring
+        # one must leave it intact and canonical for the next
+        geom, grid, angle = make_problem(kind, phi=phi)
+        rng = np.random.default_rng(17)
+        states = [ghost_fill(grid, make_field(grid, 0.3 * rng.standard_normal(grid.shape)),
+                             angle).values for _ in range(2)]
+        dt = 0.7 * grid.h_r
+        splu(semi_implicit_matrix(grid, states[0], angle, dt))
+        again = semi_implicit_matrix(grid, states[1], angle, dt)
+        assert again.has_sorted_indices
+        monkeypatch.setattr(operators, "_PATTERN_CACHE", {})
+        fresh = semi_implicit_matrix(grid, states[1], angle, dt)
+        assert np.array_equal(again.indices, fresh.indices)
+        assert np.array_equal(again.indptr, fresh.indptr)
+        assert abs(again - fresh).max() == 0.0

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st_
 from mcfsolve import (Field, SolverError, StepPolicy, auto_dt, build_problem,
                       catalog_cases, eta_monitor, initial_state, parse_config,
                       run_until, solve_soliton, speed_estimate, step)
+from mcfsolve import operators
 from mcfsolve.flow import FlowHistory, _window_start
 from mcfsolve.geometry import Geometry
 
@@ -53,6 +54,27 @@ class TestStep:
         run_until(a, StepPolicy("semi_implicit", dt=2e-3), angle, t_end=0.5)
         run_until(b, StepPolicy("explicit"), angle, t_end=0.5)
         assert np.max(np.abs(a.field.interior - b.field.interior)) < 1e-3
+
+    @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
+    @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
+    def test_one_flux_record_per_step(self, scheme, kind, monkeypatch):
+        # the operator, the lagged matrix, max W and the monitor share the
+        # field's one record, so the slopes are computed once per field
+        calls = []
+        original = operators.node_terms
+
+        def counting(grid, ext):
+            calls.append(ext)
+            return original(grid, ext)
+
+        monkeypatch.setattr(operators, "node_terms", counting)
+        geom, grid, angle = make_problem(kind, phi="const:0.2")
+        rng = np.random.default_rng(3)
+        st = initial_state(grid, angle, 0.05 * rng.standard_normal(grid.shape))
+        policy = StepPolicy(scheme)
+        run_until(st, policy, angle, t_end=50 * auto_dt(grid, policy))
+        assert len(st.history) == 51
+        assert len(calls) <= 51
 
     def test_auto_dt(self):
         geom, grid, angle = make_problem("interval", n_r=100)
@@ -237,19 +259,26 @@ class TestEtaMonitor:
 
     @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
     def test_distance_terms_computed_once_per_grid(self, kind, monkeypatch):
-        calls = []
+        calls, hess_reads = [], []
         original = Geometry.smoothed_distance
+        original_hess = Geometry.hess_d_bound
 
         def counting(self, x):
             calls.append(self)
             return original(self, x)
 
+        def counting_hess(self):
+            hess_reads.append(self)
+            return original_hess.fget(self)
+
         monkeypatch.setattr(Geometry, "smoothed_distance", counting)
+        monkeypatch.setattr(Geometry, "hess_d_bound", property(counting_hess))
         geom, grid, angle = make_problem(kind, phi="const:0.2")
         st = initial_state(grid, angle, 0.0)
         run_until(st, StepPolicy(), angle, t_end=50 * auto_dt(grid, StepPolicy()))
         assert len(st.history) == 51
         assert len(calls) <= 1
+        assert len(hess_reads) <= 1  # the monitor's default S
 
     @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
     def test_monitor_matches_direct_evaluation(self, kind):
