@@ -33,7 +33,7 @@ import numpy as np
 
 from .flow import StepPolicy
 from .geometry import make_geometry
-from .grids import Field, Grid, angle_from_spec, make_grid
+from .grids import Field, Grid, angle_from_spec, angle_values, make_grid
 from .soliton import NewtonPolicy
 
 __all__ = ["ConfigError", "RunConfig", "SolverSettings", "parse_config",
@@ -123,33 +123,30 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _check_phi_spec(spec: str) -> None:
-    head, _, body = spec.partition(":")
-    if head == "const":
-        try:
-            v = float(body)
-        except ValueError:
-            raise ConfigError(f"angle.phi: bad constant {body!r}") from None
-        if abs(v) >= PHI_LIMIT:
-            raise ConfigError("angle.phi: contact angle too steep (|phi| must stay below 0.95)")
-    elif head == "fourier":
-        try:
-            coeffs = [float(c) for c in body.split(",") if c.strip()]
-        except ValueError:
-            raise ConfigError(f"angle.phi: bad fourier coefficients {body!r}") from None
-        if not coeffs:
-            raise ConfigError("angle.phi: fourier spec needs at least a0")
-        theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        vals = np.full_like(theta, coeffs[0])
-        for k in range(0, len(coeffs) - 1, 2):
-            mode = k // 2 + 1
-            vals += coeffs[1 + k] * np.cos(mode * theta)
-            if 2 + k < len(coeffs):
-                vals += coeffs[2 + k] * np.sin(mode * theta)
-        if float(np.max(np.abs(vals))) >= PHI_LIMIT:
-            raise ConfigError("angle.phi: contact angle too steep (|phi| must stay below 0.95)")
+def _check_phi_spec(spec: str, kind: str) -> None:
+    theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False) if kind == "polar_disk" else None
+    try:
+        vals = angle_values(spec, theta)
+    except ValueError as exc:
+        raise ConfigError(f"angle.phi: {exc}") from None
+    if float(np.max(np.abs(vals))) >= PHI_LIMIT:
+        raise ConfigError("angle.phi: contact angle too steep (|phi| must stay below 0.95)")
+
+
+def _solver_value(block: dict, key: str, kind: type, ok, need: str):
+    """block[key] as kind (int or float), checked by ok; a ConfigError
+    naming solver.<key> otherwise."""
+    v = block[key]
+    if isinstance(v, float):
+        valid = math.isfinite(v) and (kind is float or v.is_integer())
     else:
-        raise ConfigError(f"angle.phi: unknown spec kind {head!r}")
+        valid = isinstance(v, int) and not isinstance(v, bool)
+    if not valid:
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"solver.{key}: must be {what}, got {v!r}")
+    if not ok(kind(v)):
+        raise ConfigError(f"solver.{key}: {need}")
+    return kind(v)
 
 
 def parse_config(source: Union[str, Path, dict, "RunConfig"]) -> RunConfig:
@@ -176,7 +173,7 @@ def parse_config(source: Union[str, Path, dict, "RunConfig"]) -> RunConfig:
 
     preset_name = raw.pop("preset", None)
     if preset_name is not None:
-        if preset_name not in PRESETS:
+        if not isinstance(preset_name, str) or preset_name not in PRESETS:
             raise ConfigError(f"preset: unknown preset {preset_name!r}")
         raw = _deep_merge(PRESETS[preset_name], raw)
 
@@ -186,7 +183,7 @@ def parse_config(source: Union[str, Path, dict, "RunConfig"]) -> RunConfig:
     if "geometry" not in raw:
         raise ConfigError("geometry: block is required")
     try:
-        make_geometry(raw["geometry"])  # full validation, field paths in messages
+        geom = make_geometry(raw["geometry"])  # full validation, field paths in messages
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -196,32 +193,27 @@ def parse_config(source: Union[str, Path, dict, "RunConfig"]) -> RunConfig:
     phi_spec = angle_block.get("phi", "const:0.0")
     if not isinstance(phi_spec, str):
         raise ConfigError("angle.phi: must be a string spec like 'const:-0.2'")
-    _check_phi_spec(phi_spec)
+    _check_phi_spec(phi_spec, geom.kind)
 
-    solver_block = dict(raw.get("solver", {}))
+    solver_block = raw.get("solver", {})
+    if not isinstance(solver_block, dict):
+        raise ConfigError("solver: block must be an object")
     unknown = set(solver_block) - set(_SOLVER_DEFAULTS)
     if unknown:
         raise ConfigError(f"solver: unknown keys {sorted(unknown)}")
     merged = {**_SOLVER_DEFAULTS, **solver_block}
-    dt = merged["dt"]
-    if isinstance(dt, str):
-        if dt != "auto":
-            raise ConfigError("solver.dt: must be a number, null, or 'auto'")
-        dt = None
-    if dt is not None:
-        dt = float(dt)
-        if not dt > 0:
-            raise ConfigError("solver.dt: must be positive")
+    dt = None if merged["dt"] in (None, "auto") else \
+        _solver_value(merged, "dt", float, lambda v: v > 0, "must be positive")
     if merged["scheme"] not in ("semi_implicit", "explicit"):
         raise ConfigError(f"solver.scheme: unknown scheme {merged['scheme']!r}")
-    for key in ("N_r",):
-        if int(merged[key]) < 8:
-            raise ConfigError(f"solver.{key}: must be at least 8")
-
     solver = SolverSettings(
-        n_r=int(merged["N_r"]), n_theta=int(merged["N_theta"]),
-        scheme=merged["scheme"], dt=dt, tol=float(merged["tol"]),
-        max_iter=int(merged["max_iter"]), safety=float(merged["safety"]),
+        n_r=_solver_value(merged, "N_r", int, lambda v: v >= 8, "must be at least 8"),
+        n_theta=_solver_value(merged, "N_theta", int, lambda v: v >= 8 and v % 2 == 0,
+                              "must be even and at least 8"),
+        scheme=merged["scheme"], dt=dt,
+        tol=_solver_value(merged, "tol", float, lambda v: v > 0, "must be positive"),
+        max_iter=_solver_value(merged, "max_iter", int, lambda v: v >= 1, "must be at least 1"),
+        safety=_solver_value(merged, "safety", float, lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     )
     return RunConfig(geometry=_pyify(raw["geometry"]), angle=phi_spec,
                      solver=solver, preset=preset_name)

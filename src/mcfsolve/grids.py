@@ -30,7 +30,8 @@ import numpy as np
 
 from .geometry import Geometry
 
-__all__ = ["Grid", "Field", "AngleData", "make_grid", "make_field", "angle_from_spec"]
+__all__ = ["Grid", "Field", "AngleData", "make_grid", "make_field", "angle_values",
+           "angle_from_spec"]
 
 
 @dataclass(frozen=True)
@@ -231,36 +232,43 @@ class AngleData:
         return ext
 
 
-def angle_from_spec(grid: Grid, spec: str) -> AngleData:
-    """Parse an angle spec string: ``const:<v>`` everywhere, or
-    ``fourier:<a0,a1,b1,...>`` for per-ray values on the polar disk."""
-    if not isinstance(spec, str) or ":" not in spec:
+def angle_values(spec: str, theta: Optional[np.ndarray] = None) -> np.ndarray:
+    """Evaluate an angle spec string, ``const:<v>`` or ``fourier:<a0,a1,b1,...>``
+    (a0 + sum_k a_k cos(k theta) + b_k sin(k theta)), at the angles theta.
+    Without theta (1-D grids) only constants are allowed, giving shape (1,).
+    Raises ValueError on a malformed spec or a non-finite value."""
+    if not isinstance(spec, str):
         raise ValueError(f"angle spec must look like 'const:<v>' or 'fourier:<coeffs>', got {spec!r}")
     head, _, body = spec.partition(":")
-    if head == "const":
-        v = float(body)
-        if grid.geom.kind == "interval":
-            phi = np.array([v, v])
-        elif grid.is_disk:
-            phi = np.full(grid.n_theta, v)
-        else:
-            phi = np.array([v])
-    elif head == "fourier":
-        if not grid.is_disk:
-            raise ValueError("fourier angle data requires a polar_disk geometry")
-        coeffs = [float(c) for c in body.split(",") if c.strip()]
-        if not coeffs:
-            raise ValueError("fourier angle spec needs at least a0")
-        phi = np.full(grid.n_theta, coeffs[0])
-        pairs = coeffs[1:]
-        for k in range(0, len(pairs), 2):
-            mode = k // 2 + 1
-            phi += pairs[k] * np.cos(mode * grid.theta)
-            if k + 1 < len(pairs):
-                phi += pairs[k + 1] * np.sin(mode * grid.theta)
-    else:
-        raise ValueError(f"unknown angle spec kind {head!r}")
-    phi0 = float(np.max(np.abs(phi)))
-    if phi0 >= 1.0:
-        raise ValueError("contact angle too steep: |phi| must stay below 1")
-    return AngleData(phi=phi, phi0=phi0)
+    if head not in ("const", "fourier"):
+        raise ValueError(f"unknown spec kind {head!r}")
+    if head == "fourier" and theta is None:
+        raise ValueError("fourier angle data requires a polar_disk geometry")
+    try:
+        parts = [body] if head == "const" else [c for c in body.split(",") if c.strip()]
+        coeffs = [float(c) for c in parts]
+    except ValueError:
+        what = "constant" if head == "const" else "fourier coefficients"
+        raise ValueError(f"bad {what} {body!r}") from None
+    if not coeffs:
+        raise ValueError("fourier spec needs at least a0")
+    phi = np.full(1 if theta is None else len(theta), coeffs[0])
+    pairs = coeffs[1:]
+    for k in range(0, len(pairs), 2):
+        mode = k // 2 + 1
+        phi += pairs[k] * np.cos(mode * theta)
+        if k + 1 < len(pairs):
+            phi += pairs[k + 1] * np.sin(mode * theta)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("contact angle must be finite")
+    return phi
+
+
+def angle_from_spec(grid: Grid, spec: str) -> AngleData:
+    """AngleData of an angle spec (see angle_values) on the grid: per-ray
+    values on the disk, (phi_a, phi_b) on the interval, one value on a
+    ball.  AngleData rejects |phi| >= 1."""
+    phi = angle_values(spec, grid.theta)
+    if grid.geom.kind == "interval":
+        phi = np.repeat(phi, 2)
+    return AngleData(phi=phi, phi0=float(np.max(np.abs(phi))))

@@ -21,20 +21,24 @@ outermost face flux uses the one-sided slope at the face h/2 outside the
 boundary, so it matches the boundary integral of phi only up to
 discretization error (``bc_model_gap`` in soliton.verify_compatibility).
 
-Jacobians of the nonlinear residual are assembled by complex-step
-differentiation with stencil coloring: the residual is complex-analytic in
-the field values, so Im R(u + i*delta e_S)/delta recovers the exact
-analytic derivatives to machine precision, one color group at a time.
+Both sparse matrices, the Jacobian of the nonlinear residual and the
+lagged matrix of the semi-implicit step, fill a pattern that depends on
+the grid only and is built once per grid by _csc_pattern, in canonical CSC
+order (rows sorted within each column) and read-only: SuperLU's duplicate
+summing sorts an unsorted pattern in place, which would corrupt a shared
+one.  A call only fills the data vector.
 
-The lagged matrix of the semi-implicit step is the same flux form with its
-face factors W_f, W_t and node factors W frozen, so it is written directly
-from them: tridiagonal in 1-D, 5-point (periodic in theta) plus the ghost
-coupling of the last ring on the disk.  Its sparsity pattern depends on the
-grid only and is cached per grid (like the Newton coloring), in canonical
-CSC order (rows sorted within each column) and read-only: SuperLU's
-duplicate summing sorts an unsorted pattern in place, which would corrupt a
-shared one, and a canonical pattern needs no sort at all.  A call computes
-the weights and gathers them into the data vector.
+The Jacobian's pattern is the residual's exact stencil: tridiagonal in
+1-D; on the disk the 3 x 3 block of neighbouring rings and rays, rays
+j +- 2 of the last ring (ghost closure) and the three antipodal rays of
+ring 0 (pole mirror).  The residual is complex-analytic in the field
+values, so Im R(u + i*delta e_S)/delta gives the exact derivatives for a
+probe group S of columns no two of which share a row.  The groups are
+read off the pattern greedily: 3 in 1-D, 14 on the 40 x 40 disk.
+
+The lagged matrix is the same flux form with its factors W_f, W_t and W
+frozen, written directly from them: tridiagonal in 1-D, 5-point (periodic
+in theta) plus the ghost coupling of the last ring on the disk.
 
 Each quantity of the flux form is computed in one place.  node_terms
 gives the centered slopes and W at the nodes, and flux_terms adds the face
@@ -313,77 +317,72 @@ def capillary_residual(grid: Grid, interior: np.ndarray, angle: AngleData,
 _COLOR_CACHE: Dict[tuple, tuple] = {}
 
 
-def _smallest_divisor(n: int, at_least: int) -> int:
-    for d in range(at_least, n + 1):
-        if n % d == 0:
-            return d
-    return n
+def _csc_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
+    """Read-only canonical CSC pattern (indices, indptr, gather) of an n x n
+    matrix with entries at the slots (rows, cols), rows outside the matrix
+    dropped: slot values v shaped like rows give the data as v.ravel()[gather]."""
+    rows, cols = rows.ravel(), cols.ravel()
+    kept = np.flatnonzero((rows >= 0) & (rows < n))
+    gather = kept[np.lexsort((rows[kept], cols[kept]))]
+    indices = rows[gather].astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(cols[gather], minlength=n))
+    for arr in (indices, indptr, gather):
+        arr.flags.writeable = False
+    return indices, indptr, gather
 
 
 def _coloring(grid: Grid):
-    """Color groups and per-column row supersets for Jacobian probing.
-
-    The nonlinear stencil reaches two rays sideways through the ghost
-    chains.  Ring-0 columns of the disk are probed individually because the
-    pole mirror couples antipodal rays.
-    """
+    """Cached Jacobian pattern, the exact stencil of the module docstring,
+    and its probe groups: (indices, indptr, groups).  Columns are grouped
+    first-fit in column order, each joining the first group with which it
+    shares no row; a group is (its columns, their data positions)."""
     key = (grid.geom.kind, grid.n_r, grid.n_theta)
     if key in _COLOR_CACHE:
         return _COLOR_CACHE[key]
-
-    if not grid.is_disk:
-        m = grid.n_nodes
-        colors = [np.arange(c, m, 3) for c in range(3)]
-        col_rows = [np.arange(max(0, j - 1), min(m, j + 2)) for j in range(m)]
+    n = grid.n_unknowns
+    k = np.arange(n).reshape(grid.shape)
+    if grid.is_disk:
+        nt = grid.n_theta
+        ray = lambda dj: np.roll(k, -dj, axis=1)  # the node dj rays further on
+        slots = [(ray(dj) + di * nt, k) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+        slots += [(ray(dj)[-1], k[-1]) for dj in (-2, 2)]
+        slots += [(ray(nt // 2 + d)[0], k[0]) for d in (-1, 0, 1)]
     else:
-        mr, nt = grid.n_nodes, grid.n_theta
-        mth = _smallest_divisor(nt, 5)
-        flat = lambda i, j: i * nt + (j % nt)
-        colors = []
-        # pole ring: one column per color (antipodal mirror coupling)
-        for j in range(nt):
-            colors.append(np.array([flat(0, j)]))
-        for ci in range(3):
-            for cj in range(mth):
-                idx = [flat(i, j) for i in range(1 + ci, mr, 3) for j in range(cj, nt, mth)]
-                if idx:
-                    colors.append(np.array(sorted(idx)))
-        col_rows = []
-        for i in range(mr):
-            for j in range(nt):
-                rows = [flat(ii, j + dj)
-                        for ii in range(max(0, i - 1), min(mr, i + 2))
-                        for dj in range(-2, 3)]
-                if i == 0:
-                    rows += [flat(0, j - nt // 2 + d) for d in (-1, 0, 1)]
-                col_rows.append(np.unique(rows))
-    _COLOR_CACHE[key] = (colors, col_rows)
-    return colors, col_rows
+        slots = [(k + d, k) for d in (-1, 0, 1)]
+    rows = np.concatenate([r.ravel() for r, _ in slots])
+    cols = np.concatenate([c.ravel() for _, c in slots])
+    indices, indptr, _ = _csc_pattern(n, rows, cols)
+    pattern = sp.csc_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    conflict = (pattern.T @ pattern).tocsr()  # columns sharing a row
+    color = np.full(n, -1)
+    for c in range(n):
+        taken = set(color[conflict.indices[conflict.indptr[c]:conflict.indptr[c + 1]]].tolist())
+        color[c] = next(g for g in range(n) if g not in taken)
+    color_at = color[np.repeat(np.arange(n), np.diff(indptr))]
+    groups = [(np.flatnonzero(color == g), np.flatnonzero(color_at == g))
+              for g in range(color.max() + 1)]
+    for members, fill in groups:
+        members.flags.writeable = fill.flags.writeable = False
+    _COLOR_CACHE[key] = (indices, indptr, groups)
+    return _COLOR_CACHE[key]
 
 
 def capillary_jacobian(grid: Grid, interior: np.ndarray, angle: AngleData,
-                       eps: float) -> sp.csr_matrix:
-    """Exact Jacobian of capillary_residual at the given state, assembled
-    by colored complex-step differentiation."""
+                       eps: float) -> sp.csc_matrix:
+    """Exact Jacobian of capillary_residual at the given state, in CSC on
+    the grid's cached pattern: complex-step differentiation, one residual
+    evaluation per probe group of _coloring."""
     n = grid.n_unknowns
-    colors, col_rows = _coloring(grid)
+    indices, indptr, groups = _coloring(grid)
     base = np.asarray(interior, dtype=complex).ravel()
-    rows_acc, cols_acc, data_acc = [], [], []
-    for color in colors:
+    data = np.empty(len(indices))
+    for cols, fill in groups:
         u = base.copy()
-        u[color] += 1j * _CSTEP
+        u[cols] += 1j * _CSTEP
         out = capillary_residual(grid, u.reshape(grid.shape), angle, eps).ravel().imag / _CSTEP
-        for c in color:
-            rr = col_rows[c]
-            rows_acc.append(rr)
-            cols_acc.append(np.full(len(rr), c))
-            data_acc.append(out[rr])
-    rows = np.concatenate(rows_acc)
-    cols = np.concatenate(cols_acc)
-    data = np.concatenate(data_acc)
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    mat.eliminate_zeros()
-    return mat
+        data[fill] = out[indices[fill]]
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
 # -- lagged-coefficient linear operator for semi-implicit stepping ------------
@@ -412,16 +411,11 @@ def _lagged_pattern(grid: Grid):
         slot_rows = [k - nt, np.roll(k, 1, axis=1), k, np.roll(k, -1, axis=1), k + nt]
     else:
         slot_rows = [k - nt, k, k + nt]
-    rows = np.stack(slot_rows, axis=-1).ravel()
     cols = np.repeat(np.arange(n), len(slot_rows))
-    kept = np.flatnonzero((rows >= 0) & (rows < n))  # no pole-face row, no row past the boundary
-    gather = kept[np.lexsort((rows[kept], cols[kept]))]
-    indices, col_of = rows[gather].astype(np.int32), cols[gather]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(np.bincount(col_of, minlength=n))
-    diag = np.flatnonzero(indices == col_of)
-    for arr in (indices, indptr, gather, diag):
-        arr.flags.writeable = False
+    # _csc_pattern drops the pole-face rows and the rows past the boundary
+    indices, indptr, gather = _csc_pattern(n, np.stack(slot_rows, axis=-1), cols)
+    diag = np.flatnonzero(indices == cols[gather])
+    diag.flags.writeable = False
     _PATTERN_CACHE[key] = (indices, indptr, gather, diag)
     return _PATTERN_CACHE[key]
 

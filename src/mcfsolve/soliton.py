@@ -109,9 +109,12 @@ def _newton_eps(grid: Grid, angle: AngleData, eps: float,
         if nrm <= policy.tol:
             return v, mu_t, it
         jac = ops.capillary_jacobian(grid, v, angle, eps)
-        col = sp.csr_matrix(-np.ones((n, 1)))
-        row = sp.csr_matrix(np.concatenate((quad / vol, [0.0]))[None, :])
-        bordered = sp.vstack([sp.hstack([jac, col]), row]).tocsc()
+        # border: row n, the mean, closes each column; column n holds -1
+        ends = jac.indptr[1:]
+        data = np.concatenate((np.insert(jac.data, ends, quad / vol), -np.ones(n)))
+        indices = np.concatenate((np.insert(jac.indices, ends, n), np.arange(n)))
+        indptr = np.append(jac.indptr + np.arange(n + 1), ends[-1] + 2 * n)
+        bordered = sp.csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
         rhs = -np.concatenate((r.ravel(), [gap]))
         try:
             delta = splu(bordered).solve(rhs)

@@ -2,8 +2,9 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mcfsolve import ConfigError, build_problem, emit_outputs, parse_config
+from mcfsolve import ConfigError, RunConfig, build_problem, emit_outputs, parse_config
 from mcfsolve.cli import main as cli_main
 
 
@@ -64,6 +65,46 @@ class TestParseConfig:
         assert parse_config({**MINIMAL, "solver": {"dt": 0.01}}).solver.dt == 0.01
         with pytest.raises(ConfigError):
             parse_config({**MINIMAL, "solver": {"dt": -1.0}})
+
+    @pytest.mark.parametrize("override,field", [
+        ({"solver": {"N_theta": None}}, "solver.N_theta"),
+        ({"solver": 5}, "solver"),
+        ({"solver": {"N_r": 8.5}}, "solver.N_r"),
+        ({"solver": {"dt": [0.1]}}, "solver.dt"),
+        ({"solver": {"tol": float("nan")}}, "solver.tol"),
+        ({"solver": {"safety": 2.0}}, "solver.safety"),
+        ({"solver": {"max_iter": 0}}, "solver.max_iter"),
+        ({"angle": {"phi": "const:nan"}}, "angle.phi"),
+        ({"angle": {"phi": "fourier:0.1"}}, "angle.phi"),
+        ({"preset": ["grim_reaper"]}, "preset"),
+    ])
+    def test_malformed_values_name_their_field(self, override, field):
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            parse_config({**MINIMAL, **override})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_arbitrary_json_gives_config_or_config_error(self, data):
+        scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+                   | st.sampled_from(["auto", "explicit", "const:0.1", "fourier:0.1,0.2"]))
+        value = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                             | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                             max_leaves=6)
+        spec = st.builds(lambda head, body: f"{head}:{body}",
+                         st.sampled_from(["const", "fourier", "other"]),
+                         st.text(max_size=12) | st.lists(st.floats(), max_size=4).map(
+                             lambda cs: ",".join(repr(c) for c in cs)))
+        keys = st.sampled_from(["N_r", "N_theta", "scheme", "dt", "tol", "max_iter",
+                                "safety", "extra"])
+        cfg = {"geometry": data.draw(st.sampled_from([MINIMAL["geometry"],
+                                                      {"kind": "polar_disk", "R": 1.0}])),
+               "angle": data.draw(value | st.dictionaries(st.just("phi"), spec | value)),
+               "solver": data.draw(value | st.dictionaries(keys, value))}
+        try:
+            parsed = parse_config(cfg)
+        except ConfigError:
+            return
+        assert isinstance(parsed, RunConfig)
 
     def test_round_trip(self):
         cfg = parse_config({"preset": "grim_reaper", "solver": {"N_r": 64}})
@@ -140,6 +181,12 @@ class TestCli:
     def test_error_exit_code(self, tmp_path):
         assert cli_main(["soliton", "--config", str(tmp_path / "missing.json"),
                          "--out", str(tmp_path / "x")]) == 1
+
+    def test_malformed_solver_block_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**MINIMAL, "solver": {"N_theta": None}}))
+        assert cli_main(["soliton", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert "solver.N_theta" in capsys.readouterr().err
 
     def test_verify_passes_on_oracle(self, tmp_path):
         out = tmp_path / "v"

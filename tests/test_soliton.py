@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_
+from scipy.sparse.linalg import splu
+
+from mcfsolve import operators
 
 from mcfsolve import (NewtonPolicy, build_problem, capillary_jacobian,
                       capillary_residual, catalog_cases, field_mean,
@@ -223,6 +226,8 @@ class TestJacobian:
         ("interval", {"n_r": 48, "phi": "const:-0.3"}),
         ("radial_ball", {"n_r": 40, "n": 3, "R": 1.0, "phi": "const:0.2"}),
         ("polar_disk", {"n_r": 14, "n_theta": 18, "phi": "fourier:0.1,0.05,0.02"}),
+        ("polar_disk", {"n_r": 8, "n_theta": 8, "phi": "fourier:0.1,0.05,0.02"}),
+        ("polar_disk", {"n_r": 8, "n_theta": 10, "phi": "fourier:0.1,0.05,0.02"}),
     ])
     def test_matches_directional_derivative(self, kind, kw):
         geom, grid, angle = make_problem(kind, **kw)
@@ -234,3 +239,57 @@ class TestJacobian:
         exact = capillary_residual(grid, u0 + 1j * d * v, angle, 0.05).imag / d
         scale = max(1.0, np.max(np.abs(exact)))
         assert np.max(np.abs(jac @ v.ravel() - exact.ravel())) / scale < 1e-12
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("interval", {"n_r": 16, "phi": "const:-0.3"}),
+        ("polar_disk", {"n_r": 8, "n_theta": 8, "phi": "fourier:0.1,0.05,0.02"}),
+        ("polar_disk", {"n_r": 9, "n_theta": 10, "phi": "fourier:0.1,0.05,0.02"}),
+        ("polar_disk", {"n_r": 13, "n_theta": 12, "phi": "fourier:-0.2,0.05,0.02"}),
+    ])
+    def test_pattern_is_the_exact_stencil(self, kind, kw):
+        # the stored entries are exactly the nonzeros of the Jacobian taken
+        # one column at a time: no missing coupling, no structural zero
+        geom, grid, angle = make_problem(kind, **kw)
+        u0 = 0.2 * np.random.default_rng(3).standard_normal(grid.shape)
+        jac = capillary_jacobian(grid, u0, angle, 0.05)
+        assert jac.has_canonical_format
+        n = grid.n_unknowns
+        dense = np.empty((n, n))
+        for c in range(n):
+            u = u0.astype(complex).ravel()
+            u[c] += 1e-50j
+            out = capillary_residual(grid, u.reshape(grid.shape), angle, 0.05)
+            dense[:, c] = out.ravel().imag / 1e-50
+        stored = jac.copy()
+        stored.data[:] = 1.0
+        assert np.array_equal(stored.toarray() != 0.0, dense != 0.0)
+        assert np.max(np.abs(jac.toarray() - dense)) == 0.0
+
+    @pytest.mark.parametrize("kind,phi", [("interval", "const:-0.3"),
+                                          ("polar_disk", "fourier:0.1,0.05,0.02")])
+    def test_cached_pattern_survives_factorization(self, kind, phi, monkeypatch):
+        # the pattern is shared by every Jacobian of the grid; factoring one
+        # must leave it intact and canonical for the next
+        geom, grid, angle = make_problem(kind, phi=phi)
+        rng = np.random.default_rng(17)
+        states = [0.3 * rng.standard_normal(grid.shape) for _ in range(2)]
+        splu(capillary_jacobian(grid, states[0], angle, 0.05))
+        again = capillary_jacobian(grid, states[1], angle, 0.05)
+        assert again.has_canonical_format
+        monkeypatch.setattr(operators, "_COLOR_CACHE", {})
+        fresh = capillary_jacobian(grid, states[1], angle, 0.05)
+        assert np.array_equal(again.indices, fresh.indices)
+        assert np.array_equal(again.indptr, fresh.indptr)
+        assert abs(again - fresh).max() == 0.0
+
+    def test_probe_groups_read_off_the_stencil(self, monkeypatch):
+        # the 40 x 40 disk's stencil admits far fewer probe groups than one
+        # per pole column plus a fixed block coloring
+        geom, grid, angle = make_problem("polar_disk", n_r=40, n_theta=40,
+                                         phi="fourier:0.1,0.05,0.0")
+        calls = []
+        residual = operators.capillary_residual
+        monkeypatch.setattr(operators, "capillary_residual",
+                            lambda *a: calls.append(1) or residual(*a))
+        capillary_jacobian(grid, np.zeros(grid.shape), angle, 0.0)
+        assert len(calls) <= 16
