@@ -32,7 +32,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .flow import StepPolicy
-from .geometry import make_geometry
+from .geometry import config_number, make_geometry
 from .grids import Field, Grid, angle_from_spec, angle_values, make_grid
 from .soliton import NewtonPolicy
 
@@ -136,17 +136,13 @@ def _check_phi_spec(spec: str, kind: str) -> None:
 def _solver_value(block: dict, key: str, kind: type, ok, need: str):
     """block[key] as kind (int or float), checked by ok; a ConfigError
     naming solver.<key> otherwise."""
-    v = block[key]
-    if isinstance(v, float):
-        valid = math.isfinite(v) and (kind is float or v.is_integer())
-    else:
-        valid = isinstance(v, int) and not isinstance(v, bool)
-    if not valid:
-        what = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"solver.{key}: must be {what}, got {v!r}")
-    if not ok(kind(v)):
+    try:
+        v = config_number(block[key], f"solver.{key}", kind)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if not ok(v):
         raise ConfigError(f"solver.{key}: {need}")
-    return kind(v)
+    return v
 
 
 def parse_config(source: Union[str, Path, dict, "RunConfig"]) -> RunConfig:

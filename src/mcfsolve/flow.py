@@ -22,9 +22,15 @@ W*eta) where eta is the weighted gradient monitor
 with d the smoothed boundary distance.  The history is the empirical
 record behind the uniform gradient bound and bounded-drift checks.
 Recording a row costs the same however long the history is: the speed
-window is found by bisection on the time list, and the distance terms of
-the monitor, its default S and the extension of phi are computed once per
-grid (``Grid.distance_terms``, ``AngleData.extension``).
+window is found by bisection on the time list.  What does not change from
+step to step is computed once: per grid, the distance terms
+(``Grid.distance_terms``), the monitor's S d + 1 for the default S
+(``Grid.monitor_base``) and the quadrature total (``Grid.quad_total``);
+per grid and angle, the extension of phi times the distance derivative,
+phi d' (``AngleData.monitor_tilt``); per angle, the 1-D ghost closure's
+normal slope (``AngleData.normal_slope``).  The new interior is
+checked for finiteness once, by ops.ghost_fill; the step turns its
+ValueError into a SolverError.
 
 A step reads one flux record per field (``FlowState.terms``, an
 operators.FluxTerms): the record of the new field gives max W and the
@@ -144,23 +150,23 @@ def eta_monitor(grid: Grid, field: Field, angle: AngleData,
 
     S defaults to the Hessian bound of d plus 2.  ``terms``, the field's
     flux record if the caller has it, saves recomputing the slopes and W.
-    Evaluated in log space; eta is positive because |phi| |grad u| < W
-    and |grad d| <= 1, so the bracket stays above 1 - phi0.
+    Evaluated in log space as log(W (S d + 1) - tilt c) + K (u - C t), with
+    c the centered radial slope and tilt = phi d' its coefficient in
+    phi <grad u, grad d>.  The log's argument stays above (1 - phi0) W > 0
+    because |phi| |grad u| < W and |grad d| <= 1.  The default S d + 1
+    (Grid.monitor_base) and the tilt (AngleData.monitor_tilt) are computed
+    once per grid.
     """
     if K <= 0 or (S is not None and S <= 0):
         raise ValueError("monitor constants K, S must be positive")
-    d_vals, dd, hess_d = grid.distance_terms
-    if S is None:
-        S = hess_d + 2.0
+    base = grid.monitor_base if S is None else S * grid.distance_terms[0] + 1.0
     if terms is None:
         c, _, w_node = ops.node_terms(grid, field.values)
     else:
         c, w_node = terms.c, terms.w_node
-    phi_ext = angle.extension(grid)
-    grad_dot = c * dd
-    bracket = S * d_vals + 1.0 - (phi_ext / w_node) * grad_dot
-    log_weta = np.log(w_node) + K * (field.interior - C * field.t) + np.log(bracket)
-    flat = int(np.argmax(log_weta))
+    tilt = angle.monitor_tilt(grid)
+    log_weta = np.log(w_node * base - tilt * c) + K * (field.interior - C * field.t)
+    flat = int(log_weta.argmax())
     idx = np.unravel_index(flat, grid.shape) if grid.is_disk else (flat,)
     return float(np.exp(log_weta.ravel()[flat])), idx
 
@@ -185,18 +191,21 @@ def _window_start(t: List[float], target: float) -> int:
 
 
 def _record(state: FlowState, angle: AngleData, tau: float, eta_k: float):
+    """Append the history row of the current field, which ghost_fill has
+    already checked to be finite."""
     grid, field = state.grid, state.field
     with np.errstate(over="ignore"):  # a diverging run may log inf monitors
         terms = state.terms
-        mean_u = ops.field_mean(grid, field)
-        osc = ops.field_osc(field)
+        interior = field.interior
+        mean_u = float(np.vdot(grid.quad_row, interior)) / grid.quad_total
+        osc = float(interior.max() - interior.min())
         try:
             spd = speed_estimate(state.history, tau) if len(state.history) else math.nan
         except ValueError:
             spd = math.nan
         c_for_eta = 0.0 if math.isnan(spd) else spd
         weta, _ = eta_monitor(grid, field, angle, K=eta_k, C=c_for_eta, terms=terms)
-        state.history.append(field.t, mean_u, float(np.max(terms.w_node)), osc, spd, weta)
+        state.history.append(field.t, mean_u, float(terms.w_node.max()), osc, spd, weta)
 
 
 def initial_state(grid: Grid, angle: AngleData, u0=0.0, eta_k: float = 5.0) -> FlowState:
@@ -224,8 +233,7 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
         with np.errstate(all="ignore"):  # blow-up is reported, not warned
             rhs = ops.mcf_from_extended(grid, terms)
             new_int = interior + dt * rhs
-        if not np.all(np.isfinite(new_int)):
-            raise SolverError("explicit step produced non-finite values (time step too large)")
+        blow_up = "explicit step produced non-finite values (time step too large)"
     else:
         rhs = dt * ops.mcf_from_extended(grid, terms)
         if np.any(rhs):
@@ -236,14 +244,16 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
                 delta = lu.solve(rhs.ravel()).reshape(grid.shape)
             except RuntimeError as exc:
                 raise SolverError(f"semi-implicit solve failed: {exc}") from exc
-            if not np.all(np.isfinite(delta)):
-                raise SolverError("semi-implicit solve produced non-finite values")
         else:
             delta = rhs  # stationary data stay put exactly
         new_int = interior + delta
+        blow_up = "semi-implicit solve produced non-finite values"
 
-    new_field = ops.ghost_fill(grid, Field(_with_interior(grid, new_int), field.t + dt), angle)
-    state.field = new_field
+    new_field = Field(_with_interior(grid, new_int), field.t + dt)
+    try:  # ghost_fill's finiteness check is the step's
+        state.field = ops.ghost_fill(grid, new_field, angle)
+    except ValueError as exc:
+        raise SolverError(blow_up) from exc
     _record(state, angle, tau if tau is not None else max(1.0, 10.0 * dt), eta_k)
     return state
 
@@ -270,6 +280,7 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
     dt = auto_dt(state.grid, policy)
     tau = max(1.0, 10.0 * dt)
     hist = state.history
+    full_step = StepPolicy(policy.scheme, dt, policy.safety)
 
     if snapshot_interval is not None and not state.snapshots:
         state.snapshots.append((state.t, state.field.interior.copy()))
@@ -286,7 +297,9 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
             dt_step = min(dt_step, t_end - state.t)
         if snapshot_interval is not None:
             dt_step = min(dt_step, next_snap * snapshot_interval - state.t)
-        step(state, StepPolicy(policy.scheme, dt_step, policy.safety), angle, tau=tau, eta_k=eta_k)
+        # a step shortened to land on t_end or a snapshot gets its own policy
+        step(state, full_step if dt_step == dt else StepPolicy(policy.scheme, dt_step, policy.safety),
+             angle, tau=tau, eta_k=eta_k)
 
         if snapshot_interval is not None:
             while state.t >= next_snap * snapshot_interval - 1e-9:

@@ -26,6 +26,7 @@ The module also builds the two scalar functions attached to a domain:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -100,10 +101,6 @@ class Geometry:
     b: float = 0.0
 
     # -- basic metric data ------------------------------------------------
-
-    @property
-    def is_radial(self) -> bool:
-        return self.kind in ("radial_ball", "polar_disk")
 
     @property
     def inradius(self) -> float:
@@ -271,6 +268,21 @@ class Geometry:
         return 1.0 / self.R
 
 
+def config_number(value, path: str, kind: type = float):
+    """A configuration value as kind (float or int), or a ValueError naming
+    its field path: booleans, non-numbers, non-finite numbers and, for int,
+    non-integral numbers are rejected."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x) and (kind is float or x.is_integer()):
+            return kind(value)
+    what = "an integer" if kind is int else "a finite number"
+    raise ValueError(f"{path}: must be {what}, got {value!r}")
+
+
 def make_geometry(config: dict) -> Geometry:
     """Build a validated Geometry from a configuration mapping.
 
@@ -298,34 +310,34 @@ def make_geometry(config: dict) -> Geometry:
         model = CurvatureModel(curv_cfg["model"])
     except ValueError:
         raise ValueError(f"geometry.curvature.model: unknown model {curv_cfg['model']!r}") from None
-    K = float(curv_cfg.get("K", 0.0))
+    K = config_number(curv_cfg.get("K", 0.0), "geometry.curvature.K")
     if model is not CurvatureModel.FLAT and not K > 0.0:
         raise ValueError("geometry.curvature.K must be positive for curved models")
     if model is CurvatureModel.FLAT:
         K = 0.0
 
     if kind == "interval":
-        try:
-            a, b = float(cfg.pop("a")), float(cfg.pop("b"))
-        except KeyError as exc:
-            raise ValueError(f"geometry: interval requires endpoint {exc}") from None
+        for end in ("a", "b"):
+            if end not in cfg:
+                raise ValueError(f"geometry: interval requires endpoint {end!r}")
+        a = config_number(cfg.pop("a"), "geometry.a")
+        b = config_number(cfg.pop("b"), "geometry.b")
         if cfg:
             raise ValueError(f"geometry: unknown keys {sorted(cfg)}")
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError("geometry: interval needs finite a < b")
+        if not a < b:
+            raise ValueError("geometry: interval needs a < b")
         if model is not CurvatureModel.FLAT:
             raise ValueError("geometry: interval domains are flat")
         return Geometry(kind="interval", dim=1, curvature=model, a=a, b=b)
 
-    try:
-        R = float(cfg.pop("R"))
-    except KeyError:
-        raise ValueError("geometry: ball/disk requires a radius R") from None
-    if not (math.isfinite(R) and R > 0.0):
-        raise ValueError("geometry: radius R must be positive and finite")
+    if "R" not in cfg:
+        raise ValueError("geometry: ball/disk requires a radius R")
+    R = config_number(cfg.pop("R"), "geometry.R")
+    if not R > 0.0:
+        raise ValueError("geometry: radius R must be positive")
 
+    n = config_number(cfg.pop("n", 2), "geometry.n", int)
     if kind == "polar_disk":
-        n = int(cfg.pop("n", 2))
         if cfg:
             raise ValueError(f"geometry: unknown keys {sorted(cfg)}")
         if n != 2:
@@ -334,7 +346,6 @@ def make_geometry(config: dict) -> Geometry:
             raise ValueError("geometry: polar_disk supports flat curvature only")
         return Geometry(kind="polar_disk", dim=2, curvature=model, R=R)
 
-    n = int(cfg.pop("n", 2))
     if cfg:
         raise ValueError(f"geometry: unknown keys {sorted(cfg)}")
     if n < 2:

@@ -82,6 +82,13 @@ class Grid:
         return np.reshape(d, shape), np.reshape(dd, shape), hess_d
 
     @cached_property
+    def monitor_base(self) -> np.ndarray:
+        """S d + 1 with the gradient monitor's default S = C_d + 2, shaped
+        like d in distance_terms; computed once per grid."""
+        d, _, hess_d = self.distance_terms
+        return (hess_d + 2.0) * d + 1.0
+
+    @cached_property
     def quad_row(self) -> np.ndarray:
         """Quadrature weights of the volume integral, shaped like the field:
         the clipped-cell masses, times |S^{n-1}| on a ball and h_theta on
@@ -91,6 +98,11 @@ class Grid:
         if self.geom.kind == "radial_ball":
             return self.quad_masses * self.geom.sphere_area
         return self.quad_masses
+
+    @cached_property
+    def quad_total(self) -> float:
+        """The domain's volume, the sum of quad_row; computed once per grid."""
+        return float(self.quad_row.sum())
 
     @cached_property
     def cell_weights(self) -> np.ndarray:
@@ -196,6 +208,12 @@ def make_field(grid: Grid, data: Union[float, np.ndarray, Callable, None] = 0.0,
     return Field(values, t)
 
 
+def _slope_closed_form(phi, tangential_sq):
+    """p = phi * sqrt((1 + T) / (1 - phi^2)), the solution of
+    p = phi * sqrt(1 + p^2 + T) for |phi| < 1; no guard on phi."""
+    return phi * np.sqrt((1.0 + tangential_sq) / (1.0 - phi * phi))
+
+
 @dataclass(frozen=True)
 class AngleData:
     """Contact-angle datum phi on the boundary, |phi| <= phi0 < 1.
@@ -206,7 +224,7 @@ class AngleData:
 
     phi: np.ndarray
     phi0: float
-    _extensions: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    _tilts: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.phi)):
@@ -214,22 +232,35 @@ class AngleData:
         if not self.phi0 < 1.0 or np.any(np.abs(self.phi) >= 1.0):
             raise ValueError("contact angle magnitude must be strictly below 1")
 
+    @cached_property
+    def normal_slope(self) -> np.ndarray:
+        """phi / sqrt(1 - phi^2) per entry of phi: the normal slope of the
+        ghost closure where the tangential slope is zero, as on the 1-D
+        grids; read-only and computed once."""
+        p = _slope_closed_form(self.phi, 0.0)
+        p.flags.writeable = False
+        return p
+
     def extension(self, grid: Grid) -> np.ndarray:
-        """phi extended to the interior nodes, constant along normal rays;
-        read-only and computed once per grid."""
-        grid_of, ext = self._extensions.get(id(grid), (None, None))
-        if grid_of is grid:
-            return ext
+        """phi extended to the interior nodes, constant along normal rays."""
         if grid.geom.kind == "interval":
             mid = 0.5 * (grid.geom.a + grid.geom.b)
-            ext = np.where(grid.nodes < mid, self.phi[0], self.phi[1])
-        elif grid.is_disk:
-            ext = np.broadcast_to(self.phi, (grid.n_nodes, grid.n_theta))
-        else:
-            ext = np.full(grid.n_nodes, self.phi[0])
-        ext.flags.writeable = False
-        self._extensions[id(grid)] = (grid, ext)  # holding grid keeps its id unique
-        return ext
+            return np.where(grid.nodes < mid, self.phi[0], self.phi[1])
+        if grid.is_disk:
+            return np.broadcast_to(self.phi, (grid.n_nodes, grid.n_theta))
+        return np.full(grid.n_nodes, self.phi[0])
+
+    def monitor_tilt(self, grid: Grid) -> np.ndarray:
+        """The extension times the coordinate derivative of the smoothed
+        distance (Grid.distance_terms), so that the gradient monitor's
+        phi <grad u, grad d> is monitor_tilt * c for the centered radial
+        slope c; read-only and computed once per grid."""
+        grid_of, tilt = self._tilts.get(id(grid), (None, None))
+        if grid_of is not grid:
+            tilt = self.extension(grid) * grid.distance_terms[1]
+            tilt.flags.writeable = False
+            self._tilts[id(grid)] = (grid, tilt)  # holding grid keeps its id unique
+        return tilt
 
 
 def angle_values(spec: str, theta: Optional[np.ndarray] = None) -> np.ndarray:

@@ -58,7 +58,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import AngleData, Field, Grid
+from .grids import AngleData, Field, Grid, _slope_closed_form
 
 __all__ = [
     "ghost_fill",
@@ -82,10 +82,6 @@ __all__ = [
 _CSTEP = 1e-50
 
 
-def _slope_closed_form(phi, tangential_sq):
-    return phi * np.sqrt((1.0 + tangential_sq) / (1.0 - phi * phi))
-
-
 def contact_normal_slope(phi, tangential_sq=0.0):
     """Closed-form solution p of p = phi*sqrt(1 + p^2 + T) for |phi| < 1:
     the inward normal derivative matching contact angle phi when the
@@ -99,12 +95,13 @@ def contact_normal_slope(phi, tangential_sq=0.0):
 
 def _normal_slope(grid: Grid, interior: np.ndarray, angle: AngleData):
     """Closed-form boundary normal derivative(s) p for the ghost closure;
-    AngleData guarantees |phi| < 1, so no guard is needed here."""
+    AngleData guarantees |phi| < 1, so no guard is needed here.  In 1-D
+    there is no tangential slope, and p is AngleData's cached constant."""
     if grid.is_disk:
         du = np.roll(interior[-1], -1) - np.roll(interior[-1], 1)
         tang = du / (2.0 * grid.h_theta * grid.geom.R)
         return _slope_closed_form(angle.phi, tang * tang)
-    return _slope_closed_form(angle.phi, 0.0)
+    return angle.normal_slope
 
 
 def extend_values(grid: Grid, interior: np.ndarray, angle: AngleData) -> np.ndarray:
@@ -132,7 +129,7 @@ def ghost_fill(grid: Grid, field: Field, angle: AngleData) -> Field:
     """Return a copy of the field with ghosts set by the contact-angle
     closure.  Idempotent: ghosts depend only on interior values."""
     interior = np.asarray(field.interior, dtype=float)
-    if not np.all(np.isfinite(interior)):
+    if not np.isfinite(interior).all():
         raise ValueError("field has non-finite interior values")
     return Field(extend_values(grid, interior, angle), field.t)
 
@@ -263,12 +260,12 @@ def integrate_boundary(grid: Grid, angle: AngleData) -> float:
 
 
 def field_mean(grid: Grid, f) -> float:
-    return integrate_domain(grid, f) / float(grid.quad_row.sum())
+    return integrate_domain(grid, f) / grid.quad_total
 
 
 def field_osc(f) -> float:
     v = _interior_of(f)
-    return float(np.max(v) - np.min(v))
+    return float(v.max() - v.min())
 
 
 def flux_balance(grid: Grid, ext: np.ndarray) -> Tuple[float, float, float]:

@@ -77,6 +77,14 @@ class TestParseConfig:
         ({"angle": {"phi": "const:nan"}}, "angle.phi"),
         ({"angle": {"phi": "fourier:0.1"}}, "angle.phi"),
         ({"preset": ["grim_reaper"]}, "preset"),
+        ({"geometry": {"kind": "interval", "a": None, "b": 1}}, "geometry.a"),
+        ({"geometry": {"kind": "interval", "a": -1, "b": True}}, "geometry.b"),
+        ({"geometry": {"kind": "polar_disk", "R": [1]}}, "geometry.R"),
+        ({"geometry": {"kind": "polar_disk", "R": float("inf")}}, "geometry.R"),
+        ({"geometry": {"kind": "radial_ball", "n": None, "R": 1}}, "geometry.n"),
+        ({"geometry": {"kind": "radial_ball", "n": 2.5, "R": 1}}, "geometry.n"),
+        ({"geometry": {"kind": "radial_ball", "R": 1,
+                       "curvature": {"model": "hyperbolic", "K": "1"}}}, "geometry.curvature.K"),
     ])
     def test_malformed_values_name_their_field(self, override, field):
         with pytest.raises(ConfigError, match=f"^{field}:"):
@@ -96,8 +104,16 @@ class TestParseConfig:
                              lambda cs: ",".join(repr(c) for c in cs)))
         keys = st.sampled_from(["N_r", "N_theta", "scheme", "dt", "tol", "max_iter",
                                 "safety", "extra"])
+        curvature = st.dictionaries(st.sampled_from(["model", "K", "extra"]),
+                                    st.sampled_from(["flat", "hyperbolic", "pinched_ch"]) | value)
+        geometry = st.builds(
+            lambda kind, rest, curv: {"kind": kind, **rest, **curv},
+            st.sampled_from(["interval", "radial_ball", "polar_disk", "other"]),
+            st.dictionaries(st.sampled_from(["a", "b", "R", "n", "extra"]), value),
+            st.just({}) | (curvature | value).map(lambda c: {"curvature": c}))
         cfg = {"geometry": data.draw(st.sampled_from([MINIMAL["geometry"],
-                                                      {"kind": "polar_disk", "R": 1.0}])),
+                                                      {"kind": "polar_disk", "R": 1.0}])
+                                     | geometry | value),
                "angle": data.draw(value | st.dictionaries(st.just("phi"), spec | value)),
                "solver": data.draw(value | st.dictionaries(keys, value))}
         try:
@@ -187,6 +203,13 @@ class TestCli:
         path.write_text(json.dumps({**MINIMAL, "solver": {"N_theta": None}}))
         assert cli_main(["soliton", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
         assert "solver.N_theta" in capsys.readouterr().err
+
+    def test_malformed_geometry_block_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**MINIMAL, "geometry": {"kind": "radial_ball", "n": None,
+                                                             "R": 1}}))
+        assert cli_main(["soliton", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert "geometry.n" in capsys.readouterr().err
 
     def test_verify_passes_on_oracle(self, tmp_path):
         out = tmp_path / "v"

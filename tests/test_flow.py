@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_
 
-from mcfsolve import (Field, SolverError, StepPolicy, auto_dt, build_problem,
-                      catalog_cases, eta_monitor, initial_state, parse_config,
-                      run_until, solve_soliton, speed_estimate, step)
-from mcfsolve import operators
+from mcfsolve import (AngleData, Field, SolverError, StepPolicy, auto_dt, build_problem,
+                      catalog_cases, eta_monitor, field_mean, ghost_fill, initial_state,
+                      make_field, make_grid, parse_config, run_until, solve_soliton,
+                      speed_estimate, step)
+from mcfsolve import flow, grids, operators
 from mcfsolve.flow import FlowHistory, _window_start
 from mcfsolve.geometry import Geometry
 
@@ -44,6 +45,62 @@ class TestStep:
         with pytest.raises(SolverError):
             for _ in range(200):
                 step(st, StepPolicy("explicit", dt=0.5), angle)
+
+    def test_non_finite_solve_raises_solver_error(self, monkeypatch):
+        # the step has no finiteness check of its own: ghost_fill's stands in
+        class NanFactor:
+            def solve(self, rhs):
+                return np.full_like(rhs, np.nan)
+
+        monkeypatch.setattr(flow, "splu", lambda *args, **kwargs: NanFactor())
+        geom, grid, angle = make_problem("interval", n_r=32, phi="const:-0.3")
+        st = initial_state(grid, angle, lambda x: 0.1 * np.cos(np.pi * x))
+        before = st.field.values.copy()
+        with pytest.raises(SolverError, match="^semi-implicit solve produced non-finite values$"):
+            step(st, StepPolicy("semi_implicit"), angle)
+        assert np.array_equal(st.field.values, before)
+        assert len(st.history) == 1
+
+    def test_non_finite_explicit_step_names_the_time_step(self, monkeypatch):
+        monkeypatch.setattr(operators, "mcf_from_extended",
+                            lambda grid, ext: np.full(grid.shape, np.inf))
+        geom, grid, angle = make_problem("radial_ball", n_r=16)
+        st = initial_state(grid, angle, 0.0)
+        with pytest.raises(SolverError, match=r"^explicit step produced non-finite values "
+                                              r"\(time step too large\)$"):
+            step(st, StepPolicy("explicit"), angle)
+        assert len(st.history) == 1
+
+    @pytest.mark.parametrize("kind", ["interval", "polar_disk"])
+    def test_public_checks_reject_non_finite_values(self, kind):
+        geom, grid, angle = make_problem(kind, phi="const:0.2")
+        f = make_field(grid, 0.0)
+        f.interior[(2,) * f.interior.ndim] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ghost_fill(grid, f, angle)
+        with pytest.raises(ValueError, match="non-finite"):
+            field_mean(grid, f)
+
+    @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
+    @pytest.mark.parametrize("kind", ["interval", "radial_ball"])
+    def test_normal_slope_computed_once_per_angle(self, scheme, kind, monkeypatch):
+        # in 1-D the ghost closure's normal slope is a constant of the angle
+        calls = []
+        original = grids._slope_closed_form
+
+        def counting(phi, tangential_sq):
+            calls.append(phi)
+            return original(phi, tangential_sq)
+
+        monkeypatch.setattr(grids, "_slope_closed_form", counting)
+        monkeypatch.setattr(operators, "_slope_closed_form", counting)
+        geom, grid, angle = make_problem(kind, phi="const:-0.3")
+        st = initial_state(grid, angle, lambda x: 0.05 * np.cos(np.pi * x))
+        policy = StepPolicy(scheme)
+        run_until(st, policy, angle, t_end=50 * auto_dt(grid, policy))
+        assert len(st.history) == 51
+        assert len(calls) <= 1
+        assert not angle.normal_slope.flags.writeable
 
     def test_schemes_agree(self):
         # the lagged scheme carries an O(dt) transient error; shrink dt so
@@ -286,26 +343,41 @@ class TestEtaMonitor:
         st = initial_state(grid, angle, 0.0)
         run_until(st, StepPolicy(), angle, t_end=0.1)  # the grid's terms are cached by now
         rng = np.random.default_rng(7)
-        f = Field(st.field.values + 0.1 * rng.standard_normal(grid.ext_shape), 0.4)
         K, C = 5.0, 0.3
-        got, _ = eta_monitor(grid, f, angle, K=K, C=C)
-        # from scratch: centered slopes and W inline, no cached distance terms
-        v = f.values
-        c = (v[2:] - v[:-2]) / (2.0 * grid.h_r)
-        if grid.is_disk:
-            u = v[1:-1]
-            w_t = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * grid.h_theta
-                                                                      * grid.nodes[:, None])
-            w = np.sqrt(1.0 + c * c + w_t * w_t)
-        else:
-            w = np.sqrt(1.0 + c * c)
-        d, _ = geom.smoothed_distance(grid.nodes)
-        dd = geom.smoothed_distance_gradient(grid.nodes)
-        if grid.is_disk:
-            d, dd = d[:, None], dd[:, None]
-        bracket = (geom.hess_d_bound + 2.0) * d + 1.0 - (angle.extension(grid) / w) * (c * dd)
-        want = np.exp(np.max(np.log(w) + K * (f.interior - C * f.t) + np.log(bracket)))
-        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+        def check(grid, angle, S=None, base=0.0):
+            f = Field(base + 0.1 * rng.standard_normal(grid.ext_shape), 0.4)
+            got, _ = eta_monitor(grid, f, angle, K=K, S=S, C=C)
+            # from scratch: centered slopes and W inline, no cached distance terms
+            v = f.values
+            c = (v[2:] - v[:-2]) / (2.0 * grid.h_r)
+            if grid.is_disk:
+                u = v[1:-1]
+                w_t = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * grid.h_theta
+                                                                          * grid.nodes[:, None])
+                w = np.sqrt(1.0 + c * c + w_t * w_t)
+            else:
+                w = np.sqrt(1.0 + c * c)
+            d, _ = geom.smoothed_distance(grid.nodes)
+            dd = geom.smoothed_distance_gradient(grid.nodes)
+            if grid.is_disk:
+                d, dd = d[:, None], dd[:, None]
+            s = geom.hess_d_bound + 2.0 if S is None else S
+            bracket = s * d + 1.0 - (angle.extension(grid) / w) * (c * dd)
+            want = np.exp(np.max(np.log(w) + K * (f.interior - C * f.t) + np.log(bracket)))
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+        check(grid, angle, base=st.field.values)
+        # a second angle on the same grid keeps its own per-grid terms
+        check(grid, AngleData(phi=-2.0 * angle.phi, phi0=2.0 * angle.phi0))
+        check(grid, angle)
+        # the same angle on a second grid of the geometry
+        finer = make_grid(geom, grid.n_r + 7, grid.n_theta if grid.is_disk else None)
+        check(finer, angle)
+        check(grid, angle)
+        # an explicit S is not the cached default
+        check(grid, angle, S=3.7)
+        check(grid, angle, S=geom.hess_d_bound + 2.0)
 
     def test_invalid_constants(self):
         geom, grid, angle = make_problem("interval", n_r=32)
