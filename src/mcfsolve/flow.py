@@ -14,6 +14,23 @@ Two schemes:
   in a minimum-degree ordering of A^T + A, which fills in less than the
   default column ordering with partial pivoting.
 
+The lagged LU is reused along the flow.  M reads u only through the
+factors W, W_f and (disk) W_t, and slopes do not see the shift by C t, so
+as the flow converges to the translator the matrix settles.  A step keeps
+its last factorization on the FlowState and reuses it while dt is
+unchanged and each factor is within ``_REFACTOR_TOL`` = 1e-3 of the
+values it was factored at, in max norm; otherwise it assembles and
+factors I - dt*M afresh.  Reuse keeps the translator exact: every row of
+M sums to zero, so (I - dt*M_old)^-1 1 = 1 for any frozen M_old, and as
+the right-hand side is the exact dt*F(u), a step on the discrete
+translator (F = C_h at every node) still moves u by exactly C_h dt.  A
+matrix close to the current one changes only how the transient decays;
+one frozen far from it, at rough data, can make the step unstable, so
+the tolerance is fixed and small.  Since W >= 1, the absolute tolerance
+is also a relative one: each lagged weight moves by at most about 2e-3.
+A step shortened to land on t_end or a snapshot has another dt, so it
+factors afresh, and so does the full step after it.
+
 Each step appends one history row (t, max_W, osc, speed estimate, max of
 W*eta) where eta is the weighted gradient monitor
 
@@ -42,7 +59,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -50,6 +67,9 @@ from scipy.sparse.linalg import splu
 
 from .grids import AngleData, Field, Grid, make_field
 from . import operators as ops
+
+# reuse the lagged LU while W, W_f and W_t move less than this (max norm)
+_REFACTOR_TOL = 1e-3
 
 __all__ = [
     "StepPolicy",
@@ -116,6 +136,9 @@ class FlowState:
     history: FlowHistory
     snapshots: List[Tuple[float, np.ndarray]] = dc_field(default_factory=list)
     _terms: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
+    # the last lagged LU, its dt and the flux record it was factored at
+    _lagged: tuple = dc_field(default=(None, None, None), init=False, repr=False,
+                              compare=False)
 
     @property
     def t(self) -> float:
@@ -223,7 +246,9 @@ def initial_state(grid: Grid, angle: AngleData, u0=0.0, eta_k: float = 5.0) -> F
 def step(state: FlowState, policy: StepPolicy, angle: AngleData,
          tau: Optional[float] = None, eta_k: float = 5.0) -> FlowState:
     """Advance one time step; returns the same FlowState with new field and
-    an appended history row."""
+    an appended history row.  A semi-implicit step reuses the state's lagged
+    LU while its W factors stay within _REFACTOR_TOL (see the module
+    docstring)."""
     grid, field = state.grid, state.field
     dt = auto_dt(grid, policy)
     interior = field.interior
@@ -237,10 +262,8 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
     else:
         rhs = dt * ops.mcf_from_extended(grid, terms)
         if np.any(rhs):
-            a_mat = ops.semi_implicit_matrix(grid, terms, angle, dt)
             try:
-                lu = splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                          options={"SymmetricMode": True})
+                lu = _lagged_lu(state, angle, dt)
                 delta = lu.solve(rhs.ravel()).reshape(grid.shape)
             except RuntimeError as exc:
                 raise SolverError(f"semi-implicit solve failed: {exc}") from exc
@@ -256,6 +279,25 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
         raise SolverError(blow_up) from exc
     _record(state, angle, tau if tau is not None else max(1.0, 10.0 * dt), eta_k)
     return state
+
+
+def _lagged_lu(state: FlowState, angle: AngleData, dt: float):
+    """LU of I - dt*M at the current flux record: the state's last one if dt
+    is unchanged and W, W_f and (disk) W_t are each within _REFACTOR_TOL of
+    the factors it was built at, in max norm; else the matrix is assembled
+    and factored afresh and kept."""
+    terms = state.terms
+    lu, dt_ref, ref = state._lagged
+    if lu is not None and dt == dt_ref and all(
+            now is None or np.abs(now - old).max() <= _REFACTOR_TOL
+            for now, old in ((terms.w_node, ref.w_node), (terms.wf_r, ref.wf_r),
+                             (terms.wf_t, ref.wf_t))):
+        return lu
+    a_mat = ops.semi_implicit_matrix(state.grid, terms, angle, dt)
+    lu = splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    state._lagged = (lu, dt, terms)
+    return lu
 
 
 def _with_interior(grid: Grid, interior: np.ndarray) -> np.ndarray:
@@ -280,7 +322,7 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
     dt = auto_dt(state.grid, policy)
     tau = max(1.0, 10.0 * dt)
     hist = state.history
-    full_step = StepPolicy(policy.scheme, dt, policy.safety)
+    full_step = replace(policy, dt=dt)
 
     if snapshot_interval is not None and not state.snapshots:
         state.snapshots.append((state.t, state.field.interior.copy()))
@@ -298,7 +340,7 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
         if snapshot_interval is not None:
             dt_step = min(dt_step, next_snap * snapshot_interval - state.t)
         # a step shortened to land on t_end or a snapshot gets its own policy
-        step(state, full_step if dt_step == dt else StepPolicy(policy.scheme, dt_step, policy.safety),
+        step(state, full_step if dt_step == dt else replace(policy, dt=dt_step),
              angle, tau=tau, eta_k=eta_k)
 
         if snapshot_interval is not None:

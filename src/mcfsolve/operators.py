@@ -23,10 +23,13 @@ discretization error (``bc_model_gap`` in soliton.verify_compatibility).
 
 Both sparse matrices, the Jacobian of the nonlinear residual and the
 lagged matrix of the semi-implicit step, fill a pattern that depends on
-the grid only and is built once per grid by _csc_pattern, in canonical CSC
+the grid only and is built once by grids._csc_pattern, in canonical CSC
 order (rows sorted within each column) and read-only: SuperLU's duplicate
 summing sorts an unsorted pattern in place, which would corrupt a shared
-one.  A call only fills the data vector.
+one.  A call only fills the data vector.  The Jacobian's pattern and probe
+groups are cached per grid shape in _COLOR_CACHE, shared by every grid of
+that shape; the lagged matrix's pattern lives on its Grid
+(Grid.lagged_pattern) and goes with it.
 
 The Jacobian's pattern is the residual's exact stencil: tridiagonal in
 1-D; on the disk the 3 x 3 block of neighbouring rings and rays, rays
@@ -58,7 +61,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import AngleData, Field, Grid, _slope_closed_form
+from .grids import AngleData, Field, Grid, _csc_pattern, _slope_closed_form
 
 __all__ = [
     "ghost_fill",
@@ -314,21 +317,6 @@ def capillary_residual(grid: Grid, interior: np.ndarray, angle: AngleData,
 _COLOR_CACHE: Dict[tuple, tuple] = {}
 
 
-def _csc_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
-    """Read-only canonical CSC pattern (indices, indptr, gather) of an n x n
-    matrix with entries at the slots (rows, cols), rows outside the matrix
-    dropped: slot values v shaped like rows give the data as v.ravel()[gather]."""
-    rows, cols = rows.ravel(), cols.ravel()
-    kept = np.flatnonzero((rows >= 0) & (rows < n))
-    gather = kept[np.lexsort((rows[kept], cols[kept]))]
-    indices = rows[gather].astype(np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(np.bincount(cols[gather], minlength=n))
-    for arr in (indices, indptr, gather):
-        arr.flags.writeable = False
-    return indices, indptr, gather
-
-
 def _coloring(grid: Grid):
     """Cached Jacobian pattern, the exact stencil of the module docstring,
     and its probe groups: (indices, indptr, groups).  Columns are grouped
@@ -385,38 +373,6 @@ def capillary_jacobian(grid: Grid, interior: np.ndarray, angle: AngleData,
 # -- lagged-coefficient linear operator for semi-implicit stepping ------------
 
 
-_PATTERN_CACHE: Dict[tuple, tuple] = {}
-
-
-def _lagged_pattern(grid: Grid):
-    """Cached CSC pattern of the lagged matrix: (indices, indptr, gather,
-    diag), read-only and in canonical order (rows sorted within each
-    column).  The slot values of semi_implicit_matrix, stacked per node in
-    the order below, [right,] diag, [left,] above, give the data vector as
-    stack.ravel()[gather]; diag are the diagonal's positions in it.
-    """
-    key = (grid.geom.kind, grid.n_r, grid.n_theta)
-    if key in _PATTERN_CACHE:
-        return _PATTERN_CACHE[key]
-    n = grid.n_unknowns
-    nt = grid.n_theta if grid.is_disk else 1
-    k = np.arange(n).reshape(grid.shape)
-    # CSC column k holds the rows coupling to node k: the node below through
-    # its weight up, the node above through its weight down, and on the
-    # disk the neighbouring rays
-    if grid.is_disk:
-        slot_rows = [k - nt, np.roll(k, 1, axis=1), k, np.roll(k, -1, axis=1), k + nt]
-    else:
-        slot_rows = [k - nt, k, k + nt]
-    cols = np.repeat(np.arange(n), len(slot_rows))
-    # _csc_pattern drops the pole-face rows and the rows past the boundary
-    indices, indptr, gather = _csc_pattern(n, np.stack(slot_rows, axis=-1), cols)
-    diag = np.flatnonzero(indices == cols[gather])
-    diag.flags.writeable = False
-    _PATTERN_CACHE[key] = (indices, indptr, gather, diag)
-    return _PATTERN_CACHE[key]
-
-
 def semi_implicit_matrix(grid: Grid, ext0, angle: AngleData,
                          dt: float) -> sp.csc_matrix:
     """I - dt*M with M the flux form with W factors frozen at ext0, a
@@ -438,7 +394,8 @@ def semi_implicit_matrix(grid: Grid, ext0, angle: AngleData,
     neighbour, it is a strictly row-diagonally dominant M-matrix: each row's
     diagonal exceeds the sum of its off-diagonal magnitudes by exactly 1.
     Gaussian elimination therefore needs no pivoting in any symmetric
-    ordering, which is how flow.step factors it.
+    ordering, which is how flow.step factors it.  The data fill the grid's
+    cached pattern, Grid.lagged_pattern.
     """
     terms = _terms(grid, ext0)
     h = grid.h_r
@@ -463,7 +420,7 @@ def semi_implicit_matrix(grid: Grid, ext0, angle: AngleData,
         slots = (below, np.roll(right, 1, axis=1), diag, np.roll(left, -1, axis=1), above)
     else:
         slots = (below, diag, above)
-    indices, indptr, gather, diag_at = _lagged_pattern(grid)
+    indices, indptr, gather, diag_at = grid.lagged_pattern
     data = np.stack(slots, axis=-1).ravel()[gather]
     data *= -dt
     data[diag_at] += 1.0

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st_
 
 from mcfsolve import (AngleData, Field, SolverError, StepPolicy, auto_dt, build_problem,
                       catalog_cases, eta_monitor, field_mean, ghost_fill, initial_state,
-                      make_field, make_grid, parse_config, run_until, solve_soliton,
-                      speed_estimate, step)
+                      make_field, make_grid, parse_config, run_to_stationarity, run_until,
+                      solve_soliton, speed_estimate, step, verify_convergence)
 from mcfsolve import flow, grids, operators
 from mcfsolve.flow import FlowHistory, _window_start
 from mcfsolve.geometry import Geometry
@@ -239,6 +239,106 @@ class TestRunUntil:
         t = np.asarray(st.history.t)
         assert np.all(np.diff(t) > 0)
         assert np.all(np.asarray(st.history.max_w) >= 1.0)
+
+
+def trace_factorizations(monkeypatch):
+    """Wrap flow.step and flow.splu: returns (dts, factored), the dt of every
+    step taken and the index of the step in which each lagged factorization
+    happened."""
+    dts, factored = [], []
+    original_step, original_splu = flow.step, flow.splu
+
+    def counting_step(state, policy, *args, **kwargs):
+        dts.append(policy.dt)
+        return original_step(state, policy, *args, **kwargs)
+
+    def counting_splu(*args, **kwargs):
+        factored.append(len(dts) - 1)
+        return original_splu(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "step", counting_step)
+    monkeypatch.setattr(flow, "splu", counting_splu)
+    return dts, factored
+
+
+class TestLaggedReuse:
+    @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
+    def test_zero_tol_factors_every_moving_step(self, kind, monkeypatch):
+        # a tolerance of 0 is one factorization per step whose right-hand
+        # side is nonzero, as without reuse; stationary data factor nothing
+        dts, factored = trace_factorizations(monkeypatch)
+        monkeypatch.setattr(flow, "_REFACTOR_TOL", 0.0)
+        geom, grid, angle = make_problem(kind, phi="const:0.2")
+        rng = np.random.default_rng(5)
+        policy = StepPolicy()
+        moving = initial_state(grid, angle, 0.1 * rng.standard_normal(grid.shape))
+        for _ in range(30):
+            flow.step(moving, policy, angle)
+        assert factored == list(range(30))
+        level = grids.angle_from_spec(grid, "const:0.0")
+        still = initial_state(grid, level, 0.4)
+        for _ in range(5):
+            flow.step(still, policy, level)
+        assert len(factored) == 30
+
+    @pytest.mark.parametrize("factor", ["w_node", "wf_r", "wf_t"])
+    def test_each_factor_is_compared(self, factor, monkeypatch):
+        # the next record moves one factor only: by half the default tol the
+        # LU is reused, by twice the tol it is refactored
+        dts, factored = trace_factorizations(monkeypatch)
+        geom, grid, angle = make_problem("polar_disk", phi="fourier:0.1,0.05,0.05")
+        rng = np.random.default_rng(11)
+        st = initial_state(grid, angle, 0.05 * rng.standard_normal(grid.shape))
+        assert flow._REFACTOR_TOL == 1e-3
+        policy = StepPolicy()
+        ref = st.terms
+        flow.step(st, policy, angle)
+        for shift, refactored in ((0.5e-3, False), (2e-3, True)):
+            st._terms = (st.field.values, ref._replace(**{factor: getattr(ref, factor) + shift}))
+            flow.step(st, policy, angle)
+            assert (factored[-1] == len(dts) - 1) == refactored
+
+    @pytest.mark.parametrize("name", ["flat_ball_n2", "disk_fourier"])
+    def test_default_tol_factors_rarely(self, name, monkeypatch):
+        dts, factored = trace_factorizations(monkeypatch)
+        _, grid, angle = build_problem(parse_config(dict(catalog_cases())[name]))
+        state, _ = run_to_stationarity(grid, angle, StepPolicy(), snapshot_interval=None)
+        assert len(dts) == len(state.history) - 1
+        assert 1 <= len(factored) < 0.05 * len(dts)
+
+    def test_shortened_step_factors_afresh(self, monkeypatch):
+        # with a huge tol only a change of dt refactors: the step shortened to
+        # land on a snapshot, and the full step after it
+        dts, factored = trace_factorizations(monkeypatch)
+        monkeypatch.setattr(flow, "_REFACTOR_TOL", 1e9)
+        geom, grid, angle = make_problem("interval", n_r=40, phi="const:-0.3")
+        st = initial_state(grid, angle, lambda x: 0.1 * np.cos(np.pi * x))
+        run_until(st, StepPolicy(), angle, t_end=1.0, snapshot_interval=0.33)
+        changed = [k for k in range(len(dts)) if k == 0 or dts[k] != dts[k - 1]]
+        assert len(changed) >= 7  # three snapshots and t_end land on shortened steps
+        assert factored == changed
+
+    @pytest.mark.parametrize("name", ["grim_reaper", "disk_fourier"])
+    def test_stale_matrix_still_converges(self, name, monkeypatch):
+        # the first lagged matrix, frozen at a smoothly perturbed start, is
+        # never refactored; the exact right-hand side still drives the flow
+        # to u_inf + C_h t
+        dts, factored = trace_factorizations(monkeypatch)
+        monkeypatch.setattr(flow, "_REFACTOR_TOL", 1e9)
+        _, grid, angle = build_problem(parse_config(dict(catalog_cases())[name]))
+        sol = solve_soliton(grid, angle)
+        r = grid.nodes / grid.nodes[-1]
+        if grid.is_disk:
+            bump = np.cos(np.pi * r)[:, None] + np.outer(r * r, np.cos(grid.theta))
+        else:
+            bump = np.cos(np.pi * r)
+        st = initial_state(grid, angle, sol.u_inf.interior + 0.3 * bump)
+        w_start = st.terms.w_node
+        run_until(st, StepPolicy(), angle, speed_tol=1e-6, max_steps=5000)
+        assert factored == [0]
+        assert np.abs(st.terms.w_node - w_start).max() > 0.05  # far staler than the default
+        rep = verify_convergence(st, sol, tol=1e-3)
+        assert rep.passed, rep.checks
 
 
 class TestSpeedEstimate:
