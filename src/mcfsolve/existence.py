@@ -17,9 +17,20 @@ hyperbolic, where the mixed Ricci terms vanish), K^2 ((n+1)^2/2 - 2) for a
 pinched Cartan-Hadamard space (2 K^2 when n = 2, where the mixed term is
 zero).  The general-manifold form (n+1)|Ric| is not used on this catalog.
 
-The checker scans alpha on a fine grid, preferring the largest usable
-angle eps0 = min(eps_alpha, 1/4) among alphas that satisfy the curvature
-condition, with the curvature margin as tie-break.  One condition carries
+With b = k1 (n-1) and alpha_max = min(kappa0, b/2) the margin
+alpha (b - alpha) increases on (0, alpha_max), so the curvature condition
+holds for some alpha exactly when RIC_EFF < alpha_max (b - alpha_max), and
+then on the open interval (alpha_lo, alpha_max) with alpha_lo =
+max(0, (b - sqrt(b^2 - 4 RIC_EFF))/2).  eps_alpha falls as alpha grows and
+equals 1/4 at alpha_q = kappa0 - 4 (M1 + 3)/15, so the largest usable angle
+eps0 = min(eps_alpha, 1/4), with the widest margin as tie-break, is taken at
+
+    alpha* = clip(alpha_q, alpha_lo + delta, alpha_max - delta),
+
+and at alpha_max - delta, the widest failing margin, when no alpha
+qualifies.  The feasible set is open, so its endpoints fail the strict
+conditions; the inset delta = min(1e-4 alpha_max, (alpha_max - alpha_lo)/2)
+keeps alpha* strictly inside it.  One condition carries
 an estimate constant that is not computable from first principles; it is
 reported as conditional on the strict curvature margin rather than
 invented.
@@ -46,7 +57,7 @@ from .grids import AngleData
 __all__ = ["Condition", "HypothesisReport", "check_existence",
            "radius_bound_hyperbolic", "radius_bound_ch", "effective_ricci_constant"]
 
-ALPHA_GRID_POINTS = 10_000
+_ALPHA_INSET = 1e-4  # delta / alpha_max: alpha* stays this far inside (alpha_lo, alpha_max)
 
 
 @dataclass(frozen=True)
@@ -162,29 +173,22 @@ def check_existence(geom: Geometry, angle: AngleData) -> HypothesisReport:
     n = geom.dim
     k1, kappa0, m1 = geom.k1, geom.kappa0, geom.M1
     ric_eff = effective_ricci_constant(geom)
-    alpha_max = min(kappa0, k1 * (n - 1) / 2.0)
+    b = k1 * (n - 1)
+    alpha_max = min(kappa0, b / 2.0)
 
-    alphas = alpha_max * np.arange(1, ALPHA_GRID_POINTS) / ALPHA_GRID_POINTS
-    rhs = alphas * (k1 * (n - 1) - alphas)
-    curv_ok = ric_eff < rhs
-    gaps = kappa0 - alphas
-    eps_a = np.where(gaps > 0,
-                     (-(m1 + 3.0) + np.sqrt((m1 + 3.0) ** 2 + 4.0 * gaps * gaps))
-                     / np.where(gaps > 0, 2.0 * gaps, 1.0),
-                     0.0)
-    eps0_grid = np.where(curv_ok, np.minimum(eps_a, 0.25), 0.0)
-
-    if np.any(curv_ok):
-        # prefer the largest usable angle, then the widest curvature margin
-        best = int(np.lexsort((rhs - ric_eff, eps0_grid))[-1])
+    inset = _ALPHA_INSET * alpha_max
+    if ric_eff < alpha_max * (b - alpha_max):
+        alpha_lo = max(0.0, 0.5 * (b - math.sqrt(b * b - 4.0 * ric_eff)))
+        inset = min(inset, 0.5 * (alpha_max - alpha_lo))
+        alpha_q = kappa0 - 4.0 * (m1 + 3.0) / 15.0  # eps_alpha = 1/4 here
+        alpha_star = min(max(alpha_q, alpha_lo + inset), alpha_max - inset)
     else:
-        best = int(np.argmax(rhs - ric_eff))
-    alpha_star = float(alphas[best])
-    eps_alpha = float(_largest_eps(kappa0 - alpha_star, m1 + 3.0))
-    curv_pass = bool(curv_ok[best])
+        alpha_star = alpha_max - inset
+    rhs_star = alpha_star * (b - alpha_star)
+    curv_pass = ric_eff < rhs_star
+    eps_alpha = _largest_eps(kappa0 - alpha_star, m1 + 3.0)
     eps0 = min(eps_alpha, 0.25) if curv_pass else 0.0
 
-    rhs_star = float(rhs[best])
     eps_lhs = eps0 * (m1 + 3.0) / (1.0 - eps0 * eps0) if eps0 < 1 else math.inf
     conditions = [
         Condition("alpha_range", alpha_star, float(alpha_max),

@@ -62,10 +62,6 @@ def _smoothstep5(x):
     return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
 
 
-def _smoothstep5_prime(x):
-    return 30.0 * x * x * (1.0 - x) ** 2
-
-
 def _ramp_antiderivative(x):
     # int_0^x (1 - smoothstep5) dy; equals 1/2 at x = 1
     return x - x ** 4 * (2.5 + x * (x - 3.0))
@@ -153,11 +149,6 @@ class Geometry:
     def delta(self) -> float:
         """Onset of the distance plateau: min(1, inradius)."""
         return min(1.0, self.inradius)
-
-    @property
-    def plateau(self) -> float:
-        # value of the ramped distance for s >= delta: delta/2 + delta/2 * 1/2
-        return 0.75 * self.delta
 
     def boundary_distance(self, x):
         """Exact distance to the boundary."""

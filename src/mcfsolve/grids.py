@@ -40,10 +40,8 @@ class Grid:
     n_r: int
     h_r: float
     nodes: np.ndarray            # coordinates of real nodes (x or r)
-    faces: np.ndarray            # face coordinates between extended nodes
     sigma_nodes: np.ndarray      # sigma at real nodes
     sigma_faces: np.ndarray      # sigma at faces (0 at the pole face)
-    op_weights: np.ndarray       # sigma_i * h_r: control weights of the flux form
     quad_masses: np.ndarray      # clipped-cell midpoint masses for quadrature
     n_theta: int = 0
     h_theta: float = 0.0
@@ -70,6 +68,11 @@ class Grid:
         if self.is_disk:
             return (self.n_nodes + 2, self.n_theta)
         return (self.n_nodes + 2,)
+
+    @property
+    def op_weights(self) -> np.ndarray:
+        """sigma_i * h_r: control weights of the flux form."""
+        return self.sigma_nodes * self.h_r
 
     @cached_property
     def distance_terms(self):
@@ -158,56 +161,39 @@ def make_grid(geom: Geometry, n_r: int, n_theta: Optional[int] = None) -> Grid:
     if n_r < 8:
         raise ValueError("grid resolution N_r must be at least 8")
 
+    n_t, h_theta, theta = 0, 0.0, None
     if geom.kind == "interval":
         h = (geom.b - geom.a) / n_r
         nodes = geom.a + h * np.arange(n_r + 1)
         nodes[-1] = geom.b
-        faces = np.concatenate(([geom.a - 0.5 * h], geom.a + h * (np.arange(n_r + 1) + 0.5)))
-        ones = np.ones_like(nodes)
+        sigma_nodes, sigma_faces = np.ones_like(nodes), np.ones(n_r + 2)
         masses = np.full(n_r + 1, h)
         masses[0] = masses[-1] = 0.5 * h
-        return Grid(
-            geom=geom, n_r=n_r, h_r=h, nodes=nodes, faces=faces,
-            sigma_nodes=ones, sigma_faces=np.ones(n_r + 2),
-            op_weights=ones * h, quad_masses=masses,
-        )
-
-    # staggered radial layout shared by balls and the disk
-    m = n_r
-    h = geom.R / (m - 0.5)
-    nodes = (np.arange(m) + 0.5) * h
-    nodes[-1] = geom.R
-    faces = np.concatenate((h * np.arange(m), [geom.R + 0.5 * h]))
-    sigma_nodes = np.asarray(geom.volume_weight(nodes))
-    sigma_faces = np.asarray(geom.volume_weight(faces))
-    sigma_faces[0] = 0.0  # pole face, exactly
-    # clipped-cell midpoint masses: full cells [ih, (i+1)h], boundary half
-    # cell [R - h/2, R] with sigma taken at the half-cell midpoint
-    mids = nodes.copy()
-    widths = np.full(m, h)
-    mids[-1] = geom.R - 0.25 * h
-    widths[-1] = 0.5 * h
-    masses = np.asarray(geom.volume_weight(mids)) * widths
-
-    if geom.kind == "radial_ball":
-        return Grid(
-            geom=geom, n_r=m, h_r=h, nodes=nodes, faces=faces,
-            sigma_nodes=sigma_nodes, sigma_faces=sigma_faces,
-            op_weights=sigma_nodes * h, quad_masses=masses,
-        )
-
-    if n_theta is None:
-        n_theta = 64
-    if n_theta < 8 or n_theta % 2:
-        raise ValueError("polar_disk needs an even N_theta >= 8")
-    h_theta = 2.0 * math.pi / n_theta
-    theta = h_theta * np.arange(n_theta)
-    return Grid(
-        geom=geom, n_r=m, h_r=h, nodes=nodes, faces=faces,
-        sigma_nodes=sigma_nodes, sigma_faces=sigma_faces,
-        op_weights=sigma_nodes * h, quad_masses=masses,
-        n_theta=n_theta, h_theta=h_theta, theta=theta,
-    )
+    else:
+        # staggered radial layout shared by balls and the disk
+        h = geom.R / (n_r - 0.5)
+        nodes = (np.arange(n_r) + 0.5) * h
+        nodes[-1] = geom.R
+        faces = np.concatenate((h * np.arange(n_r), [geom.R + 0.5 * h]))
+        sigma_nodes = np.asarray(geom.volume_weight(nodes))
+        sigma_faces = np.asarray(geom.volume_weight(faces))
+        sigma_faces[0] = 0.0  # pole face, exactly
+        # clipped-cell midpoint masses: full cells [ih, (i+1)h], boundary half
+        # cell [R - h/2, R] with sigma taken at the half-cell midpoint
+        mids = nodes.copy()
+        widths = np.full(n_r, h)
+        mids[-1] = geom.R - 0.25 * h
+        widths[-1] = 0.5 * h
+        masses = np.asarray(geom.volume_weight(mids)) * widths
+        if geom.kind == "polar_disk":
+            n_t = 64 if n_theta is None else n_theta
+            if n_t < 8 or n_t % 2:
+                raise ValueError("polar_disk needs an even N_theta >= 8")
+            h_theta = 2.0 * math.pi / n_t
+            theta = h_theta * np.arange(n_t)
+    return Grid(geom=geom, n_r=n_r, h_r=h, nodes=nodes, sigma_nodes=sigma_nodes,
+                sigma_faces=sigma_faces, quad_masses=masses,
+                n_theta=n_t, h_theta=h_theta, theta=theta)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcfsolve import (angle_from_spec, check_existence, make_geometry, make_grid,
                       radius_bound_ch, radius_bound_hyperbolic)
@@ -83,13 +85,13 @@ class TestCheckExistence:
             return next(c for c in rep.conditions if c.name == "ric_cond2").passed
 
         lo, hi = 0.3, 0.4
-        for _ in range(30):
+        for _ in range(60):
             mid = 0.5 * (lo + hi)
             if curv_ok(mid):
                 lo = mid
             else:
                 hi = mid
-        assert abs(0.5 * (lo + hi) - radius_bound_hyperbolic(2)) < 1e-4
+        assert abs(0.5 * (lo + hi) - radius_bound_hyperbolic(2)) <= 1e-10
 
     def test_flat_passes_curvature_always(self):
         geom = make_geometry({"kind": "radial_ball", "n": 3, "R": 2.0,
@@ -156,3 +158,52 @@ class TestCheckExistence:
         d = check_existence(geom, angle).to_dict()
         assert {"k1", "kappa0", "M1", "conditions", "overall"} <= set(d)
         assert all({"name", "lhs", "rhs", "pass"} <= set(c) for c in d["conditions"])
+
+
+def _scan_alpha(k1, kappa0, m1, n, ric_eff, points=10_000):
+    """Reference choice of alpha by a grid scan: alpha_max j / points for
+    0 < j < points, taking the largest eps0 = min(eps_alpha, 1/4) among the
+    alphas that meet the curvature condition, then the widest margin.
+    Returns (alpha, eps0); assumes some alpha on the grid qualifies."""
+    b = k1 * (n - 1)
+    alphas = min(kappa0, b / 2.0) * np.arange(1, points) / points
+    rhs = alphas * (b - alphas)
+    gaps = kappa0 - alphas
+    eps_a = (-(m1 + 3.0) + np.sqrt((m1 + 3.0) ** 2 + 4.0 * gaps * gaps)) / (2.0 * gaps)
+    eps0 = np.where(ric_eff < rhs, np.minimum(eps_a, 0.25), 0.0)
+    best = np.lexsort((rhs - ric_eff, eps0))[-1]
+    return alphas[best], eps0[best]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_closed_form_alpha_matches_scan(data):
+    model = data.draw(st.sampled_from(["flat", "hyperbolic", "pinched_ch"]))
+    R = data.draw(st.floats(0.02, 3.0))
+    if model == "flat" and data.draw(st.booleans()):
+        geom = make_geometry({"kind": "polar_disk", "R": R})
+        grid = make_grid(geom, 8, 8)
+    else:
+        curvature = {"model": model}
+        if model != "flat":
+            curvature["K"] = data.draw(st.floats(0.25, 4.0))
+        geom = make_geometry({"kind": "radial_ball", "n": data.draw(st.integers(2, 6)),
+                              "R": R, "curvature": curvature})
+        grid = make_grid(geom, 8)
+    rep = check_existence(geom, angle_from_spec(grid, "const:0.05"))
+    cond = {c.name: c for c in rep.conditions}
+
+    n, ric = geom.dim, rep.ric_eff
+    b = rep.k1 * (n - 1)
+    alpha_max = min(rep.kappa0, b / 2.0)
+    feasible = ric < alpha_max * (b - alpha_max)
+    assert cond["ric_cond2"].passed == feasible
+    assert cond["alpha_range"].passed
+    e = rep.eps_alpha
+    assert abs(e * (rep.M1 + 3.0) / (1.0 - e * e) - (rep.kappa0 - rep.alpha_star)) < 1e-10
+
+    alpha_lo = max(0.0, 0.5 * (b - math.sqrt(b * b - 4.0 * ric))) if feasible else alpha_max
+    if alpha_max - alpha_lo > 2e-4 * alpha_max:
+        alpha_scan, eps0_scan = _scan_alpha(rep.k1, rep.kappa0, rep.M1, n, ric)
+        assert abs(rep.alpha_star - alpha_scan) <= 2e-4 * alpha_max
+        assert abs(rep.eps0 - eps0_scan) <= 1e-4 * alpha_max
