@@ -36,12 +36,13 @@ W*eta) where eta is the weighted gradient monitor
 
     eta = exp(K (u - C t)) * (S d + 1 - (phi / W) <grad u, grad d>)
 
-with d the smoothed boundary distance.  The history is the empirical
+with d the smoothed boundary distance, K = 5 and S = C_d + 2 (the Hessian
+bound of d plus 2) fixed.  The history is the empirical
 record behind the uniform gradient bound and bounded-drift checks.
 Recording a row costs the same however long the history is: the speed
 window is found by bisection on the time list.  What does not change from
 step to step is computed once: per grid, the distance terms
-(``Grid.distance_terms``), the monitor's S d + 1 for the default S
+(``Grid.distance_terms``), the monitor's S d + 1
 (``Grid.monitor_base``) and the quadrature total (``Grid.quad_total``);
 per grid and angle, the extension of phi times the distance derivative,
 phi d' (``AngleData.monitor_tilt``); per angle, the 1-D ghost closure's
@@ -70,6 +71,8 @@ from . import operators as ops
 
 # reuse the lagged LU while W, W_f and W_t move less than this (max norm)
 _REFACTOR_TOL = 1e-3
+# the monitor's K in exp(K (u - C t)); the gradient estimate holds for any K > 0
+_ETA_K = 5.0
 
 __all__ = [
     "StepPolicy",
@@ -166,29 +169,26 @@ def auto_dt(grid: Grid, policy: StepPolicy) -> float:
     return policy.safety / rate
 
 
-def eta_monitor(grid: Grid, field: Field, angle: AngleData,
-                K: float = 5.0, S: Optional[float] = None, C: float = 0.0,
+def eta_monitor(grid: Grid, field: Field, angle: AngleData, C: float = 0.0,
                 terms: Optional[ops.FluxTerms] = None):
     """Maximum of W*eta over the grid and its location.
 
-    S defaults to the Hessian bound of d plus 2.  ``terms``, the field's
-    flux record if the caller has it, saves recomputing the slopes and W.
-    Evaluated in log space as log(W (S d + 1) - tilt c) + K (u - C t), with
-    c the centered radial slope and tilt = phi d' its coefficient in
-    phi <grad u, grad d>.  The log's argument stays above (1 - phi0) W > 0
-    because |phi| |grad u| < W and |grad d| <= 1.  The default S d + 1
-    (Grid.monitor_base) and the tilt (AngleData.monitor_tilt) are computed
-    once per grid.
+    K = 5 and S = C_d + 2, the Hessian bound of d plus 2 (see the module
+    docstring).  ``terms``, the field's flux record if the caller has it,
+    saves recomputing the slopes and W.  Evaluated in log space as
+    log(W (S d + 1) - tilt c) + K (u - C t), with c the centered radial
+    slope and tilt = phi d' its coefficient in phi <grad u, grad d>.  The
+    log's argument stays above (1 - phi0) W > 0 because |phi| |grad u| < W
+    and |grad d| <= 1.  S d + 1 (Grid.monitor_base) and the tilt
+    (AngleData.monitor_tilt) are computed once per grid.
     """
-    if K <= 0 or (S is not None and S <= 0):
-        raise ValueError("monitor constants K, S must be positive")
-    base = grid.monitor_base if S is None else S * grid.distance_terms[0] + 1.0
     if terms is None:
         c, _, w_node = ops.node_terms(grid, field.values)
     else:
         c, w_node = terms.c, terms.w_node
     tilt = angle.monitor_tilt(grid)
-    log_weta = np.log(w_node * base - tilt * c) + K * (field.interior - C * field.t)
+    log_weta = (np.log(w_node * grid.monitor_base - tilt * c)
+                + _ETA_K * (field.interior - C * field.t))
     flat = int(log_weta.argmax())
     idx = np.unravel_index(flat, grid.shape) if grid.is_disk else (flat,)
     return float(np.exp(log_weta.ravel()[flat])), idx
@@ -213,7 +213,7 @@ def _window_start(t: List[float], target: float) -> int:
     return min(bisect.bisect_left(t, target + 1e-12), len(t) - 2)
 
 
-def _record(state: FlowState, angle: AngleData, tau: float, eta_k: float):
+def _record(state: FlowState, angle: AngleData, tau: float):
     """Append the history row of the current field, which ghost_fill has
     already checked to be finite."""
     grid, field = state.grid, state.field
@@ -227,24 +227,24 @@ def _record(state: FlowState, angle: AngleData, tau: float, eta_k: float):
         except ValueError:
             spd = math.nan
         c_for_eta = 0.0 if math.isnan(spd) else spd
-        weta, _ = eta_monitor(grid, field, angle, K=eta_k, C=c_for_eta, terms=terms)
+        weta, _ = eta_monitor(grid, field, angle, C=c_for_eta, terms=terms)
         state.history.append(field.t, mean_u, float(terms.w_node.max()), osc, spd, weta)
 
 
-def initial_state(grid: Grid, angle: AngleData, u0=0.0, eta_k: float = 5.0) -> FlowState:
-    """Ghost-close the initial data and record the t = 0 history row."""
+def initial_state(grid: Grid, angle: AngleData, u0=0.0) -> FlowState:
+    """Ghost-close the initial data (a scalar, an interior array or a
+    Field, whose ghosts are rebuilt from its interior) and record the t = 0
+    history row."""
     if isinstance(u0, Field):
-        f = Field(u0.values.copy(), 0.0)
-        f = ops.ghost_fill(grid, f, angle)
-    else:
-        f = ops.ghost_fill(grid, make_field(grid, u0, t=0.0), angle)
+        u0 = u0.interior
+    f = ops.ghost_fill(grid, make_field(grid, u0, t=0.0), angle)
     state = FlowState(grid=grid, field=f, history=FlowHistory())
-    _record(state, angle, 1.0, eta_k)
+    _record(state, angle, 1.0)
     return state
 
 
 def step(state: FlowState, policy: StepPolicy, angle: AngleData,
-         tau: Optional[float] = None, eta_k: float = 5.0) -> FlowState:
+         tau: Optional[float] = None) -> FlowState:
     """Advance one time step; returns the same FlowState with new field and
     an appended history row.  A semi-implicit step reuses the state's lagged
     LU while its W factors stay within _REFACTOR_TOL (see the module
@@ -277,7 +277,7 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
         state.field = ops.ghost_fill(grid, new_field, angle)
     except ValueError as exc:
         raise SolverError(blow_up) from exc
-    _record(state, angle, tau if tau is not None else max(1.0, 10.0 * dt), eta_k)
+    _record(state, angle, tau if tau is not None else max(1.0, 10.0 * dt))
     return state
 
 
@@ -310,8 +310,8 @@ def _with_interior(grid: Grid, interior: np.ndarray) -> np.ndarray:
 
 def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
               t_end: Optional[float] = None, speed_tol: Optional[float] = None,
-              max_steps: int = 10_000_000, snapshot_interval: Optional[float] = None,
-              eta_k: float = 5.0) -> FlowState:
+              max_steps: int = 10_000_000,
+              snapshot_interval: Optional[float] = None) -> FlowState:
     """Iterate the flow until t_end, or until the windowed speed estimate
     is stationary: |speed(t) - speed(t - tau)| < speed_tol with
     tau = max(1, 10 dt).  Snapshots of the field are kept every
@@ -341,7 +341,7 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
             dt_step = min(dt_step, next_snap * snapshot_interval - state.t)
         # a step shortened to land on t_end or a snapshot gets its own policy
         step(state, full_step if dt_step == dt else replace(policy, dt=dt_step),
-             angle, tau=tau, eta_k=eta_k)
+             angle, tau=tau)
 
         if snapshot_interval is not None:
             while state.t >= next_snap * snapshot_interval - 1e-9:

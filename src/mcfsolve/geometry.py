@@ -36,9 +36,6 @@ __all__ = [
     "CurvatureModel",
     "Geometry",
     "make_geometry",
-    "volume_weight",
-    "smoothed_distance",
-    "defining_function",
 ]
 
 
@@ -342,20 +339,3 @@ def make_geometry(config: dict) -> Geometry:
     if n < 2:
         raise ValueError("geometry: radial_ball requires dimension n >= 2")
     return Geometry(kind="radial_ball", dim=n, curvature=model, K=K, R=R)
-
-
-# Module-level operation aliases mirroring the public solver API.
-
-def volume_weight(geom: Geometry, r):
-    """sigma(r) for the given geometry; see Geometry.volume_weight."""
-    return geom.volume_weight(r)
-
-
-def smoothed_distance(geom: Geometry, x):
-    """(d, C_d) at x; see Geometry.smoothed_distance."""
-    return geom.smoothed_distance(x)
-
-
-def defining_function(geom: Geometry, r):
-    """(h, hess_min, hess_max) at r; see Geometry.defining_function."""
-    return geom.defining_function(r)

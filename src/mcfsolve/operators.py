@@ -69,7 +69,6 @@ __all__ = [
     "integrate_domain",
     "integrate_boundary",
     "field_mean",
-    "field_osc",
     "flux_balance",
     "discrete_speed",
     "capillary_residual",
@@ -264,11 +263,6 @@ def integrate_boundary(grid: Grid, angle: AngleData) -> float:
 
 def field_mean(grid: Grid, f) -> float:
     return integrate_domain(grid, f) / grid.quad_total
-
-
-def field_osc(f) -> float:
-    v = _interior_of(f)
-    return float(v.max() - v.min())
 
 
 def flux_balance(grid: Grid, ext: np.ndarray) -> Tuple[float, float, float]:

@@ -50,6 +50,9 @@ from .flow import SolverError
 from .grids import AngleData, Field, Grid
 from . import operators as ops
 
+# step halvings per Newton iteration before the solve counts as stagnated
+_MAX_BACKTRACKS = 20
+
 __all__ = ["NewtonPolicy", "SolitonResult", "solve_capillary_eps", "solve_soliton",
            "verify_compatibility"]
 
@@ -58,7 +61,6 @@ __all__ = ["NewtonPolicy", "SolitonResult", "solve_capillary_eps", "solve_solito
 class NewtonPolicy:
     tol: float = 1e-10
     max_iter: int = 30
-    max_backtracks: int = 20
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -125,7 +127,7 @@ def _newton_eps(grid: Grid, angle: AngleData, eps: float,
         dmu = float(delta[-1])
 
         lam = 1.0
-        for _ in range(policy.max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             v_try = v + lam * dv
             mu_try = mu_t + lam * dmu
             r_try, gap_try = residual(v_try, mu_try)

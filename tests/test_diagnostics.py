@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_
 
-from mcfsolve import (Field, StepPolicy, angle_from_spec, contraction_test,
+from mcfsolve import (Field, StepPolicy, angle_from_spec, auto_dt, contraction_test,
                       initial_state, make_geometry, make_grid, refinement_study,
                       run_to_stationarity, solve_soliton, verify_convergence)
+from mcfsolve.flow import _window_start
 from conftest import PHI_GRIM, make_problem
 
 
@@ -16,6 +17,23 @@ def grim_verified():
     sol = solve_soliton(grid, angle)
     state, t_stat = run_to_stationarity(grid, angle, StepPolicy())
     return grid, angle, sol, state, t_stat
+
+
+def test_run_to_stationarity_stops_at_1e_6_and_doubles(grim_verified):
+    # run_until's rule, |speed(t) - speed(t - tau)| < 1e-6 once t >= 2 tau,
+    # holds first at t_stat, and the run goes on to 2 t_stat
+    grid, _, _, state, t_stat = grim_verified
+    assert state.t == pytest.approx(2.0 * t_stat, abs=1e-12)
+    hist = state.history
+    tau = max(1.0, 10.0 * auto_dt(grid, StepPolicy()))
+
+    def stationary(i):
+        gap = abs(hist.speed[i] - hist.speed[_window_start(hist.t[:i + 1], hist.t[i] - tau)])
+        return hist.t[i] >= 2.0 * tau and gap < 1e-6
+
+    i_stat = hist.t.index(t_stat)
+    assert stationary(i_stat)
+    assert not any(stationary(i) for i in range(i_stat))
 
 
 class TestVerifyConvergence:
@@ -128,6 +146,19 @@ class TestRefinementStudy:
         table = refinement_study({"preset": "grim_reaper", "solver": {"N_r": 100}}, 3)
         assert all(o >= 1.9 for o in table["c_orders"])
         assert all(o >= 1.9 for o in table["u_orders"])
+
+    def test_oracle_follows_the_data_not_the_preset_name(self):
+        # the preset with another angle is no grim reaper (C = arcsin 0.3),
+        # and the preset's data under no name is one
+        other = refinement_study({"preset": "grim_reaper", "angle": {"phi": "const:-0.3"},
+                                  "solver": {"N_r": 50}}, 3)
+        assert len(other["c_errors"]) == 2
+        assert all(o >= 1.9 for o in other["c_orders"] + other["u_orders"])
+        unnamed = refinement_study({"geometry": {"kind": "interval", "a": -1.0, "b": 1.0},
+                                    "angle": {"phi": f"const:{PHI_GRIM!r}"},
+                                    "solver": {"N_r": 50}}, 3)
+        assert len(unnamed["c_errors"]) == 3
+        assert all(o >= 1.9 for o in unnamed["c_orders"] + unnamed["u_orders"])
 
     def test_flat_disk_cauchy(self):
         cfg = {"geometry": {"kind": "radial_ball", "n": 2, "R": 1.0,

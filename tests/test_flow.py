@@ -31,6 +31,17 @@ class TestStep:
         err = np.max(np.abs(st.field.interior - sol.u_inf.interior - 0.5 * st.t))
         assert err <= 1e-3
 
+    def test_initial_state_from_field_or_interior(self, grim_setup):
+        # a Field's ghosts are rebuilt from its interior, like an array's
+        grid, angle = grim_setup
+        sol = solve_soliton(grid, angle)
+        interior = sol.u_inf.interior
+        ref, *others = [initial_state(grid, angle, u0) for u0 in
+                        (sol.u_inf, interior, interior.copy(), make_field(grid, interior))]
+        for st in others:
+            assert np.array_equal(st.field.values, ref.field.values)
+            assert np.array_equal(st.history.rows(), ref.history.rows(), equal_nan=True)
+
     def test_oscillation_decay(self):
         geom, grid, angle = make_problem("interval", n_r=200)
         st = initial_state(grid, angle, lambda x: 0.1 * np.cos(np.pi * x))
@@ -393,7 +404,7 @@ class TestEtaMonitor:
         geom, grid, angle = make_problem("interval", n_r=100)
         st = initial_state(grid, angle, 0.0)
         s_def = geom.hess_d_bound + 2.0
-        val, _ = eta_monitor(grid, st.field, angle, K=5.0, C=0.0)
+        val, _ = eta_monitor(grid, st.field, angle, C=0.0)
         d_max = 0.75  # plateau of the smoothed distance
         assert val == pytest.approx(s_def * d_max + 1.0, rel=1e-12)
 
@@ -435,7 +446,7 @@ class TestEtaMonitor:
         run_until(st, StepPolicy(), angle, t_end=50 * auto_dt(grid, StepPolicy()))
         assert len(st.history) == 51
         assert len(calls) <= 1
-        assert len(hess_reads) <= 1  # the monitor's default S
+        assert len(hess_reads) <= 1  # the monitor's S
 
     @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
     def test_monitor_matches_direct_evaluation(self, kind):
@@ -445,9 +456,9 @@ class TestEtaMonitor:
         rng = np.random.default_rng(7)
         K, C = 5.0, 0.3
 
-        def check(grid, angle, S=None, base=0.0):
+        def check(grid, angle, base=0.0):
             f = Field(base + 0.1 * rng.standard_normal(grid.ext_shape), 0.4)
-            got, _ = eta_monitor(grid, f, angle, K=K, S=S, C=C)
+            got, _ = eta_monitor(grid, f, angle, C=C)
             # from scratch: centered slopes and W inline, no cached distance terms
             v = f.values
             c = (v[2:] - v[:-2]) / (2.0 * grid.h_r)
@@ -462,7 +473,7 @@ class TestEtaMonitor:
             dd = geom.smoothed_distance_gradient(grid.nodes)
             if grid.is_disk:
                 d, dd = d[:, None], dd[:, None]
-            s = geom.hess_d_bound + 2.0 if S is None else S
+            s = geom.hess_d_bound + 2.0
             bracket = s * d + 1.0 - (angle.extension(grid) / w) * (c * dd)
             want = np.exp(np.max(np.log(w) + K * (f.interior - C * f.t) + np.log(bracket)))
             assert got == pytest.approx(want, rel=1e-15, abs=0.0)
@@ -475,12 +486,3 @@ class TestEtaMonitor:
         finer = make_grid(geom, grid.n_r + 7, grid.n_theta if grid.is_disk else None)
         check(finer, angle)
         check(grid, angle)
-        # an explicit S is not the cached default
-        check(grid, angle, S=3.7)
-        check(grid, angle, S=geom.hess_d_bound + 2.0)
-
-    def test_invalid_constants(self):
-        geom, grid, angle = make_problem("interval", n_r=32)
-        st = initial_state(grid, angle, 0.0)
-        with pytest.raises(ValueError):
-            eta_monitor(grid, st.field, angle, K=-1.0)

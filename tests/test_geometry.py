@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from mcfsolve import make_geometry, make_grid
-from mcfsolve.geometry import defining_function, smoothed_distance, volume_weight
 
 
 def hyper_ball(R=0.3, n=2, K=1.0):
@@ -62,19 +61,19 @@ class TestVolumeWeight:
     def test_flat_n2(self):
         g = make_geometry({"kind": "radial_ball", "n": 2, "R": 1.0,
                            "curvature": {"model": "flat"}})
-        assert volume_weight(g, 0.5) == 0.5
+        assert g.volume_weight(0.5) == 0.5
 
     def test_hyperbolic(self):
-        assert volume_weight(hyper_ball(), 0.3) == pytest.approx(math.sinh(0.3), abs=1e-12)
+        assert hyper_ball().volume_weight(0.3) == pytest.approx(math.sinh(0.3), abs=1e-12)
 
     def test_pole(self):
         g = make_geometry({"kind": "radial_ball", "n": 3, "R": 1.0,
                            "curvature": {"model": "flat"}})
-        assert volume_weight(g, 0.0) == 0.0
+        assert g.volume_weight(0.0) == 0.0
 
     def test_out_of_domain(self):
         with pytest.raises(ValueError):
-            volume_weight(hyper_ball(), 5.0)
+            hyper_ball().volume_weight(5.0)
 
     def test_monotone(self):
         for g in (hyper_ball(), make_geometry({"kind": "polar_disk", "R": 1.0})):
@@ -85,7 +84,7 @@ class TestVolumeWeight:
 class TestSmoothedDistance:
     def test_exact_zone_interval(self):
         g = make_geometry({"kind": "interval", "a": -1.0, "b": 1.0})
-        d, _ = smoothed_distance(g, 0.9)
+        d, _ = g.smoothed_distance(0.9)
         assert d == pytest.approx(0.1, abs=1e-15)
 
     def test_plateau_value(self):
@@ -95,13 +94,13 @@ class TestSmoothedDistance:
         s5 = lambda x: x ** 3 * (10 - 15 * x + 6 * x * x)
         plateau, _ = quad(lambda x: 1.0 - s5(x), 0.0, 1.0)
         expected = 0.5 * delta + 0.5 * delta * plateau
-        d, _ = smoothed_distance(g, 0.0)
+        d, _ = g.smoothed_distance(0.0)
         assert d == pytest.approx(expected, abs=1e-12)
         assert d == pytest.approx(0.75, abs=1e-12)
 
     def test_exact_zone_ball(self):
         g = hyper_ball(R=0.3)
-        d, _ = smoothed_distance(g, 0.29)
+        d, _ = g.smoothed_distance(0.29)
         assert d == pytest.approx(0.01, abs=1e-15)
 
     def test_range_and_gradient_bound(self):
@@ -109,7 +108,7 @@ class TestSmoothedDistance:
                   hyper_ball(R=0.3),
                   make_geometry({"kind": "polar_disk", "R": 1.0})):
             grid = make_grid(g, 200)
-            d, _ = smoothed_distance(g, grid.nodes)
+            d, _ = g.smoothed_distance(grid.nodes)
             assert np.all(d >= 0.0) and np.all(d <= 1.0)
             fd = np.abs(np.diff(d) / np.diff(grid.nodes))
             assert np.max(fd) <= 1.0 + 5.0 * grid.h_r
@@ -125,10 +124,10 @@ class TestSmoothedDistance:
 
     def test_hessian_bound_reported(self):
         g = make_geometry({"kind": "interval", "a": -1.0, "b": 1.0})
-        _, c_d = smoothed_distance(g, 0.0)
+        _, c_d = g.smoothed_distance(0.0)
         assert c_d == pytest.approx(3.75)
         gb = hyper_ball(R=0.3, K=2.0)
-        _, c_d = smoothed_distance(gb, 0.1)
+        _, c_d = gb.smoothed_distance(0.1)
         r_inner = 0.3 - gb.delta / 2
         assert c_d == pytest.approx(3.75 / gb.delta + 2.0 / math.tanh(2.0 * r_inner))
 
@@ -137,41 +136,41 @@ class TestDefiningFunction:
     def test_flat_example(self):
         g = make_geometry({"kind": "radial_ball", "n": 2, "R": 1.0,
                            "curvature": {"model": "flat"}})
-        h, hmin, hmax = defining_function(g, 0.5)
+        h, hmin, hmax = g.defining_function(0.5)
         assert h == pytest.approx(-0.375)
         assert hmin == 1.0 and hmax == 1.0
 
     def test_hyperbolic_boundary(self):
         # K r coth(K r) / R at r = R = 0.3, K = 1
         g = hyper_ball(R=0.3)
-        h, hmin, hmax = defining_function(g, 0.3)
+        h, hmin, hmax = g.defining_function(0.3)
         assert h == pytest.approx(0.0, abs=1e-15)
         assert hmax == pytest.approx(0.3 / math.tanh(0.3) / 0.3, rel=1e-12)
         assert hmin == pytest.approx(1.0 / 0.3)
 
     def test_hyperbolic_pole_limit(self):
         g = hyper_ball(R=0.3)
-        _, hmin, hmax = defining_function(g, 1e-9)
+        _, hmin, hmax = g.defining_function(1e-9)
         assert hmax == pytest.approx(1.0 / 0.3, rel=1e-9)
 
     def test_interval_unsupported(self):
         g = make_geometry({"kind": "interval", "a": -1.0, "b": 1.0})
         with pytest.raises(ValueError):
-            defining_function(g, 0.0)
+            g.defining_function(0.0)
         with pytest.raises(ValueError):
             g.k1
 
     def test_sign_and_convexity(self):
         g = hyper_ball(R=0.3)
         r = np.linspace(1e-6, 0.3, 500)
-        h, hmin, _ = defining_function(g, r)
+        h, hmin, _ = g.defining_function(r)
         assert abs(h[-1]) < 1e-15
         assert np.all(h[:-1] < 0)
         assert np.all(hmin >= g.k1 - 1e-12)
 
     def test_m1_is_boundary_hessian(self):
         g = hyper_ball(R=0.3)
-        _, _, hmax = defining_function(g, 0.3)
+        _, _, hmax = g.defining_function(0.3)
         assert g.M1 == pytest.approx(hmax)
 
 
