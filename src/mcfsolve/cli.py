@@ -1,14 +1,18 @@
 """Command-line front end: mcfsolve {soliton|flow|check|verify|study}.
 
-Every subcommand reads a JSON config (path or preset name), echoes the
-fully resolved configuration next to its outputs, and writes CSV/JSON
-artifacts.  Exit codes: 0 success or verification pass, 2 verification
-failure, 1 error.
+Every subcommand takes its run from one JSON config (path or preset
+name) and nothing else; the options name the config, the output
+directory, and how long or how finely to run (``flow --t-end`` and
+``--snapshot-interval``, ``verify --tol``, ``study --levels``).  Each
+echoes the fully resolved configuration next to its outputs and writes
+CSV/JSON artifacts.  Exit codes: 0 success or verification pass, 2
+verification failure, 1 error, a usage error included.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import diagnostics, existence, flow, soliton
@@ -16,27 +20,7 @@ from .config import ConfigError, build_problem, emit_outputs, parse_config
 from .flow import SolverError
 
 
-def _load(args):
-    cfg = parse_config(args.config)
-    overrides = {}
-    if getattr(args, "phi", None):
-        overrides["angle"] = {"phi": args.phi}
-    if getattr(args, "phi0", None) is not None:
-        overrides["angle"] = {"phi": f"const:{args.phi0!r}"}
-    if getattr(args, "dt", None) is not None:
-        overrides.setdefault("solver", {})["dt"] = args.dt
-    if getattr(args, "scheme", None):
-        overrides.setdefault("solver", {})["scheme"] = args.scheme
-    if overrides:
-        merged = cfg.resolved()
-        for k, v in overrides.items():
-            merged[k] = {**merged.get(k, {}), **v} if isinstance(v, dict) else v
-        cfg = parse_config(merged)
-    return cfg
-
-
-def cmd_soliton(args) -> int:
-    cfg = _load(args)
+def cmd_soliton(cfg, args) -> int:
     geom, grid, angle = build_problem(cfg)
     result = soliton.solve_soliton(grid, angle, cfg.newton_policy())
     report = soliton.verify_compatibility(result)
@@ -51,20 +35,12 @@ def cmd_soliton(args) -> int:
     return 0
 
 
-def cmd_flow(args) -> int:
-    cfg = _load(args)
+def cmd_flow(cfg, args) -> int:
     geom, grid, angle = build_problem(cfg)
     policy = cfg.step_policy()
-    u0 = 0.0
-    if args.u0 is not None:
-        head, _, body = args.u0.partition(":")
-        if head != "const":
-            raise ConfigError("--u0 supports 'const:<v>'")
-        u0 = float(body)
-    state = flow.initial_state(grid, angle, u0)
-    snapshots = args.snapshot_interval
+    state = flow.initial_state(grid, angle)
     flow.run_until(state, policy, angle, t_end=args.t_end,
-                   snapshot_interval=snapshots)
+                   snapshot_interval=args.snapshot_interval)
     artifacts = {
         "resolved_config.json": ("json", cfg.resolved()),
         "history.csv": ("csv", ("t", "max_W", "osc", "speed", "max_Weta"),
@@ -78,8 +54,7 @@ def cmd_flow(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    cfg = _load(args)
+def cmd_check(cfg, args) -> int:
     geom, grid, angle = build_problem(cfg)
     report = existence.check_existence(geom, angle)
     emit_outputs(args.out, {
@@ -91,8 +66,7 @@ def cmd_check(args) -> int:
     return 0 if report.overall else 2
 
 
-def cmd_verify(args) -> int:
-    cfg = _load(args)
+def cmd_verify(cfg, args) -> int:
     geom, grid, angle = build_problem(cfg)
     sol = soliton.solve_soliton(grid, angle, cfg.newton_policy())
     policy = cfg.step_policy()
@@ -112,8 +86,7 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 2
 
 
-def cmd_study(args) -> int:
-    cfg = _load(args)
+def cmd_study(cfg, args) -> int:
     table = diagnostics.refinement_study(cfg, levels=args.levels)
     rows = [(r["level"], r["h_r"], r["C_quad"], r["C_error"], r["u_error"])
             for r in table["rows"]]
@@ -128,7 +101,10 @@ def cmd_study(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command's parser, built once: a parser is a web of reference
+    cycles, so one per call would be left for the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="mcfsolve",
         description="Contact-angle graph flow laboratory: translators, flows, "
@@ -142,21 +118,16 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("soliton", help="solve the translator profile and speed")
     common(p)
-    p.add_argument("--phi", help="override angle spec, e.g. const:-0.2 or fourier:0.1,0.05")
     p.set_defaults(fn=cmd_soliton)
 
     p = sub.add_parser("flow", help="run the parabolic flow")
     common(p)
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--scheme", choices=("semi_implicit", "explicit"))
-    p.add_argument("--u0", help="initial height, const:<v> (default 0)")
     p.add_argument("--snapshot-interval", type=float, dest="snapshot_interval")
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("check", help="existence hypothesis check")
     common(p)
-    p.add_argument("--phi0", type=float, help="override with a constant angle of this size")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("verify", help="flow-vs-translator convergence verification")
@@ -168,10 +139,16 @@ def main(argv=None) -> int:
     common(p)
     p.add_argument("--levels", type=int, default=3)
     p.set_defaults(fn=cmd_study)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
     try:
-        return args.fn(args)
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error is an error, exit 1; --help exits 0
+        return 1 if exc.code else 0
+    try:
+        return args.fn(parse_config(args.config), args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 """Run configuration parsing, validation, and deterministic output writing.
 
-A run is described by a JSON object with three blocks::
+A run is described by one JSON object with three blocks and nothing else;
+the command line adds only where to write and how long or finely to run::
 
     {
       "geometry": {"kind": "interval", "a": -1.0, "b": 1.0},
@@ -14,6 +15,8 @@ Unknown keys are rejected with the offending field path.  ``{"preset":
 "grim_reaper"}`` expands to the closed-form reference case (optionally
 deep-merged with overrides).  Angle magnitudes at or above 0.95 are
 rejected here; the boundary closure degenerates as |phi| -> 1.
+``RunConfig.solver`` is this block with every default filled in (those of
+StepPolicy and NewtonPolicy where they have one) and every value checked.
 
 Outputs are deterministic: floats are written with their shortest
 round-trip decimal (Python repr), so identical inputs give byte-identical
@@ -27,7 +30,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -36,8 +39,8 @@ from .geometry import config_number, make_geometry
 from .grids import Field, Grid, angle_from_spec, angle_values, make_grid
 from .soliton import NewtonPolicy
 
-__all__ = ["ConfigError", "RunConfig", "SolverSettings", "parse_config",
-           "build_problem", "emit_outputs", "PRESETS"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "build_problem", "emit_outputs",
+           "PRESETS"]
 
 PHI_LIMIT = 0.95
 
@@ -49,11 +52,11 @@ class ConfigError(ValueError):
 _SOLVER_DEFAULTS = {
     "N_r": 200,
     "N_theta": 64,
-    "scheme": "semi_implicit",
-    "dt": None,
-    "tol": 1e-10,
-    "max_iter": 30,
-    "safety": 0.4,
+    "scheme": StepPolicy.scheme,
+    "dt": StepPolicy.dt,
+    "tol": NewtonPolicy.tol,
+    "max_iter": NewtonPolicy.max_iter,
+    "safety": StepPolicy.safety,
 }
 
 PRESETS = {
@@ -66,51 +69,25 @@ PRESETS = {
 
 
 @dataclass(frozen=True)
-class SolverSettings:
-    n_r: int = 200
-    n_theta: int = 64
-    scheme: str = "semi_implicit"
-    dt: Optional[float] = None
-    tol: float = 1e-10
-    max_iter: int = 30
-    safety: float = 0.4
-
-
-@dataclass(frozen=True)
 class RunConfig:
     geometry: dict
     angle: str
-    solver: SolverSettings
-    preset: Optional[str] = None
+    solver: dict  # the solver block, defaulted and validated
 
-    @property
-    def is_disk(self) -> bool:
-        return self.geometry.get("kind") == "polar_disk"
-
-    def with_resolution(self, n_r: int, n_theta: Optional[int] = None) -> "RunConfig":
-        solver = replace(self.solver, n_r=int(n_r),
-                         n_theta=int(n_theta) if n_theta else self.solver.n_theta)
-        return replace(self, solver=solver)
+    def with_resolution(self, n_r: int, n_theta: int) -> "RunConfig":
+        return replace(self, solver={**self.solver, "N_r": n_r, "N_theta": n_theta})
 
     def newton_policy(self) -> NewtonPolicy:
         s = self.solver
-        return NewtonPolicy(tol=s.tol, max_iter=s.max_iter)
+        return NewtonPolicy(tol=s["tol"], max_iter=s["max_iter"])
 
     def step_policy(self) -> StepPolicy:
         s = self.solver
-        return StepPolicy(scheme=s.scheme, dt=s.dt, safety=s.safety)
+        return StepPolicy(scheme=s["scheme"], dt=s["dt"], safety=s["safety"])
 
     def resolved(self) -> dict:
-        s = self.solver
-        return {
-            "geometry": _pyify(self.geometry),
-            "angle": {"phi": self.angle},
-            "solver": {
-                "N_r": s.n_r, "N_theta": s.n_theta, "scheme": s.scheme,
-                "dt": s.dt, "tol": s.tol, "max_iter": s.max_iter,
-                "safety": s.safety,
-            },
-        }
+        return {"geometry": _pyify(self.geometry), "angle": {"phi": self.angle},
+                "solver": _pyify(self.solver)}
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -202,25 +179,25 @@ def parse_config(source: Union[str, Path, dict, "RunConfig"]) -> RunConfig:
         _solver_value(merged, "dt", float, lambda v: v > 0, "must be positive")
     if merged["scheme"] not in ("semi_implicit", "explicit"):
         raise ConfigError(f"solver.scheme: unknown scheme {merged['scheme']!r}")
-    solver = SolverSettings(
-        n_r=_solver_value(merged, "N_r", int, lambda v: v >= 8, "must be at least 8"),
-        n_theta=_solver_value(merged, "N_theta", int, lambda v: v >= 8 and v % 2 == 0,
-                              "must be even and at least 8"),
-        scheme=merged["scheme"], dt=dt,
-        tol=_solver_value(merged, "tol", float, lambda v: v > 0, "must be positive"),
-        max_iter=_solver_value(merged, "max_iter", int, lambda v: v >= 1, "must be at least 1"),
-        safety=_solver_value(merged, "safety", float, lambda v: 0 < v <= 1, "must lie in (0, 1]"),
-    )
-    return RunConfig(geometry=_pyify(raw["geometry"]), angle=phi_spec,
-                     solver=solver, preset=preset_name)
+    solver = {
+        "N_r": _solver_value(merged, "N_r", int, lambda v: v >= 8, "must be at least 8"),
+        "N_theta": _solver_value(merged, "N_theta", int, lambda v: v >= 8 and v % 2 == 0,
+                                 "must be even and at least 8"),
+        "scheme": merged["scheme"], "dt": dt,
+        "tol": _solver_value(merged, "tol", float, lambda v: v > 0, "must be positive"),
+        "max_iter": _solver_value(merged, "max_iter", int, lambda v: v >= 1, "must be at least 1"),
+        "safety": _solver_value(merged, "safety", float, lambda v: 0 < v <= 1,
+                                "must lie in (0, 1]"),
+    }
+    return RunConfig(geometry=_pyify(raw["geometry"]), angle=phi_spec, solver=solver)
 
 
 def build_problem(cfg: Union[RunConfig, dict, str, Path]):
     """(geometry, grid, angle) for a configuration."""
     cfg = parse_config(cfg)
     geom = make_geometry(cfg.geometry)
-    grid = make_grid(geom, cfg.solver.n_r,
-                     cfg.solver.n_theta if geom.kind == "polar_disk" else None)
+    grid = make_grid(geom, cfg.solver["N_r"],
+                     cfg.solver["N_theta"] if geom.kind == "polar_disk" else None)
     angle = angle_from_spec(grid, cfg.angle)
     return geom, grid, angle
 

@@ -15,8 +15,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import PRESETS, build_problem, parse_config
 from .flow import FlowState, StepPolicy, auto_dt, initial_state, run_until, step
-from .grids import AngleData, Grid
+from .geometry import make_geometry
+from .grids import AngleData, Grid, angle_values
 from .soliton import SolitonResult, solve_soliton
 from . import operators as ops
 
@@ -157,24 +159,23 @@ def refinement_study(config, levels: int) -> dict:
     observed convergence orders for the quadrature speed and the profile,
     and the translator drift max |u - C_h t - u_inf| of a flow to t = 1.
 
-    When the geometry and angle are the grim_reaper preset's (whatever the
-    config calls itself), errors are taken against the closed-form grim
-    reaper, C = 1/2 and u = -2 log cos(x/2); otherwise against the next
-    finer level.
+    When the built geometry and the angle values are the grim_reaper
+    preset's (however the config writes them), errors are taken against
+    the closed-form grim reaper, C = 1/2 and u = -2 log cos(x/2); otherwise
+    against the next finer level.
     """
-    from .config import PRESETS, build_problem, parse_config  # local import, avoids cycle
-
     if levels < 3:
         raise ValueError("refinement study needs at least 3 levels")
     cfg = parse_config(config)
     reaper = parse_config(PRESETS["grim_reaper"])
-    closed_form = cfg.geometry == reaper.geometry and cfg.angle == reaper.angle
+    closed_form = (make_geometry(cfg.geometry) == make_geometry(reaper.geometry)
+                   and np.array_equal(angle_values(cfg.angle), angle_values(reaper.angle)))
 
     rows = []
     profiles = []
     for lev in range(levels):
-        scaled = cfg.with_resolution(cfg.solver.n_r * 2 ** lev,
-                                     cfg.solver.n_theta * 2 ** lev if cfg.is_disk else None)
+        s = cfg.solver  # N_theta is read on the disk only
+        scaled = cfg.with_resolution(s["N_r"] * 2 ** lev, s["N_theta"] * 2 ** lev)
         geom, grid, angle = build_problem(scaled)
         sol = solve_soliton(grid, angle, scaled.newton_policy())
         policy = scaled.step_policy()

@@ -249,14 +249,18 @@ class AngleData:
     """
 
     phi: np.ndarray
-    phi0: float
     _tilts: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.phi)):
             raise ValueError("contact angle must be finite")
-        if not self.phi0 < 1.0 or np.any(np.abs(self.phi) >= 1.0):
+        if np.any(np.abs(self.phi) >= 1.0):
             raise ValueError("contact angle magnitude must be strictly below 1")
+
+    @property
+    def phi0(self) -> float:
+        """max |phi|, the angle bound of the existence conditions."""
+        return float(np.max(np.abs(self.phi)))
 
     @cached_property
     def normal_slope(self) -> np.ndarray:
@@ -328,4 +332,4 @@ def angle_from_spec(grid: Grid, spec: str) -> AngleData:
     phi = angle_values(spec, grid.theta)
     if grid.geom.kind == "interval":
         phi = np.repeat(phi, 2)
-    return AngleData(phi=phi, phi0=float(np.max(np.abs(phi))))
+    return AngleData(phi=phi)

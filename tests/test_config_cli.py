@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +17,9 @@ MINIMAL = {"geometry": {"kind": "interval", "a": -1.0, "b": 1.0},
 class TestParseConfig:
     def test_defaults(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.solver.n_r == 200
-        assert cfg.solver.scheme == "semi_implicit"
-        assert cfg.solver.dt is None
+        assert cfg.solver["N_r"] == 200
+        assert cfg.solver["scheme"] == "semi_implicit"
+        assert cfg.solver["dt"] is None
 
     def test_steep_angle_rejected(self):
         bad = {**MINIMAL, "angle": {"phi": "const:0.99"}}
@@ -52,17 +54,16 @@ class TestParseConfig:
 
     def test_preset_with_override(self):
         cfg = parse_config({"preset": "grim_reaper", "solver": {"N_r": 100}})
-        assert cfg.solver.n_r == 100
-        assert cfg.preset == "grim_reaper"
+        assert cfg.solver["N_r"] == 100
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
             parse_config({"preset": "nope"})
 
     def test_dt_forms(self):
-        assert parse_config({**MINIMAL, "solver": {"dt": "auto"}}).solver.dt is None
-        assert parse_config({**MINIMAL, "solver": {"dt": None}}).solver.dt is None
-        assert parse_config({**MINIMAL, "solver": {"dt": 0.01}}).solver.dt == 0.01
+        assert parse_config({**MINIMAL, "solver": {"dt": "auto"}}).solver["dt"] is None
+        assert parse_config({**MINIMAL, "solver": {"dt": None}}).solver["dt"] is None
+        assert parse_config({**MINIMAL, "solver": {"dt": 0.01}}).solver["dt"] == 0.01
         with pytest.raises(ConfigError):
             parse_config({**MINIMAL, "solver": {"dt": -1.0}})
 
@@ -227,9 +228,43 @@ class TestCli:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_phi_override(self, tmp_path):
+        # the preset plus an angle block in a config file, not a flag
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "grim_reaper", "angle": {"phi": "const:0.0"}}))
         out = tmp_path / "p"
-        rc = cli_main(["soliton", "--config", "grim_reaper", "--phi", "const:0.0",
-                       "--out", str(out)])
+        rc = cli_main(["soliton", "--config", str(path), "--out", str(out)])
         assert rc == 0
         rep = json.loads((out / "report.json").read_text())
         assert abs(rep["C_quad"]) < 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["soliton", "--config", "grim_reaper", "--bogus"],
+        ["soliton", "--config", "grim_reaper", "--phi", "const:0.0"],
+        ["flow", "--config", "grim_reaper", "--t-end", "1", "--dt", "0.01"],
+        ["check", "--config", "grim_reaper", "--phi0", "0.1"],
+        ["soliton"],
+        ["nope", "--config", "grim_reaper"],
+    ])
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
+        # 2 means a failed verification, so a mistyped command must not return it
+        assert cli_main([*argv, "--out", str(tmp_path / "x")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_help_exits_0(self, capsys):
+        assert cli_main(["--help"]) == 0
+        assert cli_main(["soliton", "--help"]) == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_readme_commands_use_defined_flags(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        commands = [line.split("#")[0].split()[1:] for line in readme.splitlines()
+                    if line.startswith("mcfsolve ")]
+        assert len(commands) >= 5
+        for words in commands:
+            sub = words[0]
+            capsys.readouterr()
+            assert cli_main([sub, "--help"]) == 0, f"README runs unknown subcommand {sub!r}"
+            defined = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+            for flag in (w for w in words if w.startswith("--")):
+                assert flag in defined, f"README passes {flag} to mcfsolve {sub}"

@@ -160,6 +160,18 @@ class TestRefinementStudy:
         assert len(unnamed["c_errors"]) == 3
         assert all(o >= 1.9 for o in unnamed["c_orders"] + unnamed["u_orders"])
 
+    @pytest.mark.parametrize("cfg", [
+        {"geometry": {"kind": "interval", "a": -1, "b": 1, "curvature": {"model": "flat"}},
+         "angle": {"phi": f"const:{PHI_GRIM!r}"}},
+        {"preset": "grim_reaper", "angle": {"phi": "const:-0.4794255386042030002732879352"}},
+    ])
+    def test_oracle_follows_the_built_problem_not_its_spelling(self, cfg):
+        # the same geometry and angle values, written differently, still get
+        # closed-form errors on every level
+        table = refinement_study({**cfg, "solver": {"N_r": 50}}, 3)
+        assert len(table["c_errors"]) == 3 and len(table["u_errors"]) == 3
+        assert all(o >= 1.9 for o in table["c_orders"] + table["u_orders"])
+
     def test_flat_disk_cauchy(self):
         cfg = {"geometry": {"kind": "radial_ball", "n": 2, "R": 1.0,
                             "curvature": {"model": "flat"}},

@@ -153,10 +153,10 @@ class TestGhostFill:
             contact_normal_slope(1.0)
 
     def test_angle_data_checks_every_entry(self):
-        # the ghost closure relies on AngleData for |phi| < 1, so a bound phi0
-        # that understates an entry must not slip through
+        # the ghost closure relies on AngleData for |phi| < 1, so no entry
+        # may slip through
         with pytest.raises(ValueError):
-            AngleData(phi=np.array([1.2]), phi0=0.5)
+            AngleData(phi=np.array([0.5, 1.2]))
 
     def test_idempotent(self):
         grid, angle = grim_grid(32)

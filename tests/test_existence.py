@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcfsolve import (angle_from_spec, check_existence, make_geometry, make_grid,
+from mcfsolve import (AngleData, angle_from_spec, check_existence, make_geometry, make_grid,
                       radius_bound_ch, radius_bound_hyperbolic)
 from mcfsolve.existence import effective_ricci_constant
 
@@ -110,6 +110,15 @@ class TestCheckExistence:
         rep = check_existence(geom, angle_big)
         assert rep.phi0 > rep.eps0
         assert not rep.overall
+
+    @pytest.mark.parametrize("phi", [0.05, -0.05, 0.3, -0.3])
+    def test_verdict_follows_phi(self, phi):
+        # phi0 is max |phi|, never a separately given (and possibly smaller) bound
+        geom, _ = hyper2(0.3)
+        rep = check_existence(geom, AngleData(phi=np.array([phi])))
+        assert rep.phi0 == abs(phi)
+        assert rep.overall == (abs(phi) <= rep.eps0)
+        assert rep.overall == (abs(phi) < 0.25)
 
     def test_eps_alpha_equality_residual(self):
         geom, angle = hyper2(0.3)

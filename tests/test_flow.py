@@ -480,7 +480,7 @@ class TestEtaMonitor:
 
         check(grid, angle, base=st.field.values)
         # a second angle on the same grid keeps its own per-grid terms
-        check(grid, AngleData(phi=-2.0 * angle.phi, phi0=2.0 * angle.phi0))
+        check(grid, AngleData(phi=-2.0 * angle.phi))
         check(grid, angle)
         # the same angle on a second grid of the geometry
         finer = make_grid(geom, grid.n_r + 7, grid.n_theta if grid.is_disk else None)
