@@ -58,6 +58,8 @@ def verify_convergence(flow_state: FlowState, soliton: SolitonResult,
     tol, and (c) max W does not grow over the second half of the run.
     ``drift_trace`` holds max |u - C_h t - u_inf| per snapshot.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if not _grids_match(flow_state.grid, soliton.grid):
         raise ValueError("flow and soliton were computed on different grids")
     grid = flow_state.grid

@@ -156,8 +156,9 @@ def _theta_c1_norm(geom: Geometry, angle: AngleData) -> float:
     n = phi.size
     k = np.fft.rfftfreq(n, d=1.0 / n) * 1j
     phi_hat = np.fft.rfft(phi)
-    dphi = np.fft.irfft(k * phi_hat, n) / geom.R
-    d2phi = np.fft.irfft(k * k * phi_hat, n) / geom.R ** 2
+    s_R = geom.volume_weight(geom.R)  # arc length is s(R) dtheta, and sigma = s on the disk
+    dphi = np.fft.irfft(k * phi_hat, n) / s_R
+    d2phi = np.fft.irfft(k * k * phi_hat, n) / s_R ** 2
     s2 = 1.0 - phi * phi
     dtheta = -dphi / np.sqrt(s2)
     d2theta = -(d2phi * s2 + phi * dphi * dphi) / s2 ** 1.5

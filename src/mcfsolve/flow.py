@@ -164,8 +164,7 @@ def auto_dt(grid: Grid, policy: StepPolicy) -> float:
         return grid.h_r
     rate = 1.0 / grid.h_r ** 2
     if grid.is_disk:
-        r_min = grid.nodes[0]
-        rate += 1.0 / (r_min * grid.h_theta) ** 2
+        rate += 1.0 / (grid.sigma_nodes[0] * grid.h_theta) ** 2
     return policy.safety / rate
 
 
@@ -319,6 +318,11 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
     time is shortened to land on it, as the last step lands on t_end."""
     if t_end is None and speed_tol is None:
         raise ValueError("need a stop criterion: t_end and/or speed_tol")
+    if t_end is not None and not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
+    if snapshot_interval is not None and not 0 < snapshot_interval < math.inf:
+        raise ValueError(f"snapshot_interval must be positive and finite, "
+                         f"got {snapshot_interval!r}")
     dt = auto_dt(state.grid, policy)
     tau = max(1.0, 10.0 * dt)
     hist = state.history

@@ -7,10 +7,11 @@ Three domain kinds are supported, all with closed-form metric data:
   space, reduced to the radial profile.  The ambient space is flat,
   hyperbolic with sectional curvature exactly -K^2, or a pinched
   Cartan-Hadamard space with sectional curvatures in [-K^2, 0].
-* ``polar_disk``: the flat two-dimensional disk on a full (r, theta) grid.
+* ``polar_disk``: the n = 2 ball on a full (r, theta) grid, in any model.
 
 In geodesic polar coordinates the metric enters only through the radial
-volume weight sigma(r) (r^{n-1} flat, (sinh(Kr)/K)^{n-1} hyperbolic).  The
+volume weight sigma(r) (r^{n-1} flat, (sinh(Kr)/K)^{n-1} hyperbolic), which
+on the disk is also s(r), the length of a unit angle at radius r.  The
 pinched model uses the hyperbolic weight as the extreme case; only the
 existence checker distinguishes the two, through curvature bounds.
 
@@ -111,7 +112,8 @@ class Geometry:
         if self.kind == "interval":
             return np.ones_like(np.asarray(r, dtype=float)) if np.ndim(r) else 1.0
         r = np.asarray(r, dtype=float)
-        if np.any(r < -1e-12) or np.any(r > self.R + 1.0 + 1e-12):
+        # the ghost at R + h, h = R / (N_r - 1/2) with N_r >= 8, is at most R / 7.5 out
+        if np.any(r < -1e-12) or np.any(r > self.R * (1.0 + 1.0 / 7.5 + 1e-12)):
             raise ValueError("radius outside the domain (ghost margin exceeded)")
         n = self.dim
         if self.hyperbolic_weight:
@@ -279,7 +281,8 @@ def make_geometry(config: dict) -> Geometry:
         {"kind": "interval", "a": -1.0, "b": 1.0}
         {"kind": "radial_ball", "n": 2,
          "curvature": {"model": "hyperbolic", "K": 1.0}, "R": 0.3}
-        {"kind": "polar_disk", "R": 1.0}
+        {"kind": "polar_disk",
+         "curvature": {"model": "pinched_ch", "K": 1.0}, "R": 0.3}
     """
     if not isinstance(config, dict):
         raise ValueError("geometry config must be a mapping")
@@ -325,17 +328,10 @@ def make_geometry(config: dict) -> Geometry:
         raise ValueError("geometry: radius R must be positive")
 
     n = config_number(cfg.pop("n", 2), "geometry.n", int)
-    if kind == "polar_disk":
-        if cfg:
-            raise ValueError(f"geometry: unknown keys {sorted(cfg)}")
-        if n != 2:
-            raise ValueError("geometry: polar_disk is two-dimensional")
-        if model is not CurvatureModel.FLAT:
-            raise ValueError("geometry: polar_disk supports flat curvature only")
-        return Geometry(kind="polar_disk", dim=2, curvature=model, R=R)
-
     if cfg:
         raise ValueError(f"geometry: unknown keys {sorted(cfg)}")
+    if kind == "polar_disk" and n != 2:
+        raise ValueError("geometry: polar_disk is two-dimensional")
     if n < 2:
         raise ValueError("geometry: radial_ball requires dimension n >= 2")
-    return Geometry(kind="radial_ball", dim=n, curvature=model, K=K, R=R)
+    return Geometry(kind=kind, dim=n, curvature=model, K=K, R=R)

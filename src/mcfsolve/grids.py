@@ -75,6 +75,12 @@ class Grid:
         return self.sigma_nodes * self.h_r
 
     @cached_property
+    def sigma_ext(self) -> np.ndarray:
+        """sigma at the pole-mirror, node and ghost rows as a column, computed once."""
+        ghost = self.geom.volume_weight(self.geom.R + self.h_r)
+        return np.concatenate(([self.sigma_nodes[0]], self.sigma_nodes, [ghost]))[:, None]
+
+    @cached_property
     def distance_terms(self):
         """Smoothed boundary distance d and its coordinate derivative at the
         real nodes, shaped to broadcast on the interior, and the bound C_d

@@ -101,7 +101,7 @@ def _normal_slope(grid: Grid, interior: np.ndarray, angle: AngleData):
     there is no tangential slope, and p is AngleData's cached constant."""
     if grid.is_disk:
         du = np.roll(interior[-1], -1) - np.roll(interior[-1], 1)
-        tang = du / (2.0 * grid.h_theta * grid.geom.R)
+        tang = du / (2.0 * grid.h_theta * grid.sigma_nodes[-1])
         return _slope_closed_form(angle.phi, tang * tang)
     return angle.normal_slope
 
@@ -140,18 +140,15 @@ def node_terms(grid: Grid, ext: np.ndarray):
     """Centered slopes and the area element at the real nodes of ext.
 
     Returns (c, w_ext, W): the radial (coordinate) slope c; on the disk the
-    physical tangential slope of every extended row, pole mirror and ghost
-    rows included (None in 1-D); and W = sqrt(1 + c^2 + w^2) with w the
-    tangential slope of the real nodes.  Accepts complex input.
+    tangential slope u_theta / sigma of every extended row, pole mirror and
+    ghost rows included (None in 1-D); and W = sqrt(1 + c^2 + w^2) with w
+    the tangential slope of the real nodes.  Accepts complex input.
     """
-    h = grid.h_r
-    c = (ext[2:] - ext[:-2]) / (2.0 * h)
+    c = (ext[2:] - ext[:-2]) / (2.0 * grid.h_r)
     if not grid.is_disk:
         return c, None, np.sqrt(1.0 + c * c)
-    r = grid.nodes
-    r_ext = np.concatenate(([r[0]], r, [grid.geom.R + h]))
     du = np.roll(ext, -1, axis=1) - np.roll(ext, 1, axis=1)
-    w_ext = du / (2.0 * grid.h_theta * r_ext[:, None])
+    w_ext = du / (2.0 * grid.h_theta * grid.sigma_ext)
     w = w_ext[1:-1]
     return c, w_ext, np.sqrt(1.0 + c * c + w * w)
 
@@ -183,7 +180,7 @@ def flux_terms(grid: Grid, ext: np.ndarray) -> FluxTerms:
     u = ext[1:-1]
     s_t = (np.roll(u, -1, axis=1) - u) / ht
     cbar2 = 0.5 * (c ** 2 + np.roll(c, -1, axis=1) ** 2)
-    wf_t = np.sqrt(1.0 + (s_t / grid.nodes[:, None]) ** 2 + cbar2)
+    wf_t = np.sqrt(1.0 + (s_t / grid.sigma_ext[1:-1]) ** 2 + cbar2)
     return FluxTerms(c, w_ext, w_node, s_r, wf_r, s_t, wf_t)
 
 
@@ -206,7 +203,7 @@ def _flux_differences(grid: Grid, terms: FluxTerms):
     flux = grid.sigma_faces[:, None] * (terms.s_r / terms.wf_r)
     q_t = terms.s_t / terms.wf_t
     net = ((flux[1:] - flux[:-1]) * grid.h_theta
-           + (q_t - np.roll(q_t, 1, axis=1)) * (grid.h_r / grid.nodes[:, None]))
+           + (q_t - np.roll(q_t, 1, axis=1)) * (grid.h_r / grid.sigma_ext[1:-1]))
     return flux, net
 
 
@@ -375,7 +372,7 @@ def semi_implicit_matrix(grid: Grid, ext0, angle: AngleData,
 
     Node i couples to its radial neighbours with weight
     W_i sigma_f / (sigma_i h^2 W_f) through each face f, and on the disk to
-    the neighbouring rays with weight W_i / (r_i^2 h_theta^2 W_t); the
+    the neighbouring rays with weight W_i / (sigma_i^2 h_theta^2 W_t); the
     diagonal is minus their sum.  The lagged boundary normal slope enters
     the ghost closure only as an affine constant, already in F(u_old), so
     each ghost v[-2] - 2h p0 (and the left ghost v[1] - 2h p0 of the
@@ -407,7 +404,7 @@ def semi_implicit_matrix(grid: Grid, ext0, angle: AngleData,
     below = np.concatenate((up[-1:], up[:-1]))
     above = np.concatenate((down[1:], down[:1]))
     if grid.is_disk:
-        angular = terms.w_node / (grid.nodes[:, None] * grid.h_theta) ** 2
+        angular = terms.w_node / (sn * grid.h_theta) ** 2
         right = angular / terms.wf_t                     # to ray j+1
         left = angular / np.roll(terms.wf_t, 1, axis=1)  # to ray j-1
         diag -= right + left

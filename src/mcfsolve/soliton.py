@@ -47,7 +47,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .flow import SolverError
-from .grids import AngleData, Field, Grid
+from .grids import AngleData, Field, Grid, make_field
 from . import operators as ops
 
 # step halvings per Newton iteration before the solve counts as stagnated
@@ -166,13 +166,7 @@ def solve_capillary_eps(grid: Grid, angle: AngleData, eps: float,
         mu0 = eps * mean0
     v, mu_t, _ = _newton_eps(grid, angle, eps, v0, mu0, policy)
     u = v + mu_t / eps
-    return ops.ghost_fill(grid, Field(_embed(grid, u)), angle)
-
-
-def _embed(grid: Grid, interior: np.ndarray) -> np.ndarray:
-    values = np.full(grid.ext_shape, np.nan)
-    values[1:-1] = interior
-    return values
+    return ops.ghost_fill(grid, make_field(grid, u), angle)
 
 
 def solve_soliton(grid: Grid, angle: AngleData,
@@ -182,7 +176,7 @@ def solve_soliton(grid: Grid, angle: AngleData,
     policy = policy or NewtonPolicy()
     v, c_eps, it = _newton_eps(grid, angle, 0.0, np.zeros(grid.shape), 0.0, policy)
     v = v - ops.field_mean(grid, v)
-    u_inf = ops.ghost_fill(grid, Field(_embed(grid, v)), angle)
+    u_inf = ops.ghost_fill(grid, make_field(grid, v), angle)
     w_node = ops.node_area_element(grid, u_inf.values)
     denom = ops.integrate_domain(grid, 1.0 / w_node)
     c_quad = -ops.integrate_boundary(grid, angle) / denom

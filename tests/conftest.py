@@ -35,7 +35,8 @@ def make_problem(kind, **kw):
         })
         grid = make_grid(geom, kw.get("n_r", 64))
     else:
-        geom = make_geometry({"kind": "polar_disk", "R": kw.get("R", 1.0)})
+        geom = make_geometry({"kind": "polar_disk", "R": kw.get("R", 1.0),
+                              "curvature": kw.get("curvature", {"model": "flat"})})
         grid = make_grid(geom, kw.get("n_r", 24), kw.get("n_theta", 16))
     angle = angle_from_spec(grid, kw.get("phi", "const:0.0"))
     return geom, grid, angle

@@ -195,6 +195,19 @@ class TestCli:
         p2.write_text(json.dumps(bad))
         assert cli_main(["check", "--config", str(p2), "--out", str(tmp_path / "b")]) == 2
 
+    @pytest.mark.parametrize("sub,options", [
+        ("flow", ["--t-end", "1", "--snapshot-interval", "0"]),
+        ("verify", ["--tol", "nan"]),
+    ])
+    def test_bad_run_length_exits_1(self, tmp_path, capsys, sub, options):
+        # bad input is an error, exit 1, not a traceback or a failed verification
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**MINIMAL, "angle": {"phi": "const:-0.2"},
+                                    "solver": {"N_r": 32}}))
+        assert cli_main([sub, "--config", str(path), *options,
+                         "--out", str(tmp_path / "x")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_error_exit_code(self, tmp_path):
         assert cli_main(["soliton", "--config", str(tmp_path / "missing.json"),
                          "--out", str(tmp_path / "x")]) == 1

@@ -72,6 +72,13 @@ class TestVerifyConvergence:
         assert len(late) >= 2
         assert np.all(np.diff(late) <= 1e-6)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0])
+    def test_bad_tol_rejected(self, grim_verified, tol):
+        # bad input, not a failed verification
+        grid, angle, sol, state, _ = grim_verified
+        with pytest.raises(ValueError):
+            verify_convergence(state, sol, tol=tol)
+
     def test_zero_angle_constant_limit(self):
         geom, grid, angle = make_problem("interval", n_r=100)
         sol = solve_soliton(grid, angle)

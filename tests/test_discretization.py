@@ -13,10 +13,17 @@ from mcfsolve.operators import mcf_from_extended, semi_implicit_matrix
 from conftest import PHI_GRIM, grim_reaper_exact, make_problem
 
 
+def draw_curvature(data, model):
+    """The curvature block of a model, with K drawn for the curved ones."""
+    if model == "flat":
+        return {"model": model}
+    return {"model": model, "K": data.draw(st_.floats(0.2, 3.0))}
+
+
 def draw_problem(data):
     """A random admissible grid and angle: the interval, flat, hyperbolic and
-    pinched balls, and the disk with Fourier angle data; |phi| <= 0.95 and
-    coarse, odd radial resolutions included."""
+    pinched balls, and the disk in the same three models with Fourier angle
+    data; |phi| <= 0.95 and coarse, odd radial resolutions included."""
     kind = data.draw(st_.sampled_from(["interval", "flat", "hyperbolic", "pinched_ch",
                                        "polar_disk"]))
     n_r = data.draw(st_.integers(8, 41))
@@ -28,14 +35,15 @@ def draw_problem(data):
         grid = make_grid(geom, n_r)
         return grid, angle_from_spec(grid, f"const:{phi0!r}")
     if kind == "polar_disk":
-        geom = make_geometry({"kind": "polar_disk", "R": data.draw(st_.floats(0.3, 2.0))})
+        R = data.draw(st_.floats(0.3, 2.0))
+        model = data.draw(st_.sampled_from(["flat", "hyperbolic", "pinched_ch"]))
+        geom = make_geometry({"kind": "polar_disk", "R": R,
+                              "curvature": draw_curvature(data, model)})
         grid = make_grid(geom, min(n_r, 21), 2 * data.draw(st_.integers(4, 12)))
         coeffs = [phi0] + data.draw(st_.lists(st_.floats(-1.0, 1.0), max_size=6))
         scale = 0.95 / max(0.95, sum(abs(c) for c in coeffs))
         return grid, angle_from_spec(grid, "fourier:" + ",".join(repr(c * scale) for c in coeffs))
-    curvature = {"model": kind}
-    if kind != "flat":
-        curvature["K"] = data.draw(st_.floats(0.2, 3.0))
+    curvature = draw_curvature(data, kind)
     geom = make_geometry({"kind": "radial_ball", "n": data.draw(st_.integers(2, 5)),
                           "R": data.draw(st_.floats(0.1, 3.0)), "curvature": curvature})
     grid = make_grid(geom, n_r)
@@ -188,7 +196,8 @@ class TestGhostFill:
             assert abs(p / math.sqrt(1 + p * p) - angle.phi[0]) < 1e-14
         else:
             p = -(v[-1] - v[-3]) / (2 * h)
-            tang = (np.roll(v[-2], -1) - np.roll(v[-2], 1)) / (2 * grid.h_theta * geom.R)
+            tang = ((np.roll(v[-2], -1) - np.roll(v[-2], 1))
+                    / (2 * grid.h_theta * grid.sigma_nodes[-1]))
             w = np.sqrt(1 + p * p + tang * tang)
             assert np.max(np.abs(p / w - angle.phi)) < 1e-14
 
@@ -207,7 +216,9 @@ class TestGhostFill:
         else:
             p = (v[-3] - v[-1]) / (2 * h)
             if grid.is_disk:
-                tang = (np.roll(v[-2], -1) - np.roll(v[-2], 1)) / (2 * grid.h_theta * grid.geom.R)
+                # the boundary circle's length element is sigma(R) dtheta
+                tang = ((np.roll(v[-2], -1) - np.roll(v[-2], 1))
+                        / (2 * grid.h_theta * grid.sigma_nodes[-1]))
         tol = 1e-14 + 8 * np.finfo(float).eps * np.max(np.abs(v)) / h
         assert np.max(np.abs(p / np.sqrt(1 + p * p + tang * tang) - angle.phi)) <= tol
 

@@ -196,6 +196,20 @@ class TestRunUntil:
         assert speed < 0.0  # positive angle pushes the graph down
         assert 0.1 * per / area - 1e-3 <= -speed <= 0.1 * per * w_max / area + 1e-3
 
+    @pytest.mark.parametrize("run_length", [
+        {"t_end": float("nan")}, {"t_end": float("inf")},
+        {"t_end": 1.0, "snapshot_interval": 0.0}, {"t_end": 1.0, "snapshot_interval": -1.0},
+        {"t_end": 1.0, "snapshot_interval": float("nan")},
+        {"t_end": 1.0, "snapshot_interval": float("inf")},
+    ])
+    def test_bad_run_lengths_rejected(self, run_length):
+        # with max_steps = 5 a run that took them would fail fast, not step on
+        geom, grid, angle = make_problem("interval", n_r=32, phi="const:-0.3")
+        st = initial_state(grid, angle, 0.0)
+        with pytest.raises(ValueError):
+            run_until(st, StepPolicy(), angle, max_steps=5, **run_length)
+        assert len(st.history) == 1
+
     def test_max_steps_guard(self):
         geom, grid, angle = make_problem("interval", n_r=32, phi="const:-0.3")
         st = initial_state(grid, angle, 0.0)

@@ -44,8 +44,11 @@ class TestMakeGeometry:
             make_geometry({"kind": "radial_ball", "n": 1, "R": 1.0,
                            "curvature": {"model": "flat"}})
         with pytest.raises(ValueError):
-            make_geometry({"kind": "polar_disk", "R": 1.0,
-                           "curvature": {"model": "hyperbolic", "K": 1.0}})
+            make_geometry({"kind": "polar_disk", "n": 3, "R": 1.0})
+        # a curved disk is accepted and keeps K, as a ball does
+        disk = make_geometry({"kind": "polar_disk", "R": 1.0,
+                              "curvature": {"model": "hyperbolic", "K": 1.0}})
+        assert (disk.dim, disk.K) == (2, 1.0)
         with pytest.raises(ValueError):
             make_geometry({"kind": "interval", "a": -1.0, "b": 1.0, "bogus": 1})
 
