@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import diagnostics, existence, flow, soliton
@@ -67,6 +68,8 @@ def cmd_check(cfg, args) -> int:
 
 
 def cmd_verify(cfg, args) -> int:
+    if not 0 < args.tol < math.inf:  # before the solve and the flow it would judge
+        raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
     geom, grid, angle = build_problem(cfg)
     sol = soliton.solve_soliton(grid, angle, cfg.newton_policy())
     policy = cfg.step_policy()

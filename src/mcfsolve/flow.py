@@ -20,35 +20,42 @@ as the flow converges to the translator the matrix settles.  A step keeps
 its last factorization on the FlowState and reuses it while dt is
 unchanged and each factor is within ``_REFACTOR_TOL`` = 1e-3 of the
 values it was factored at, in max norm; otherwise it assembles and
-factors I - dt*M afresh.  Reuse keeps the translator exact: every row of
-M sums to zero, so (I - dt*M_old)^-1 1 = 1 for any frozen M_old, and as
-the right-hand side is the exact dt*F(u), a step on the discrete
-translator (F = C_h at every node) still moves u by exactly C_h dt.  A
-matrix close to the current one changes only how the transient decays;
-one frozen far from it, at rough data, can make the step unstable, so
-the tolerance is fixed and small.  Since W >= 1, the absolute tolerance
-is also a relative one: each lagged weight moves by at most about 2e-3.
-A step shortened to land on t_end or a snapshot has another dt, so it
-factors afresh, and so does the full step after it.
+factors I - dt*M afresh.  The factors share their trailing shape, so the
+state keeps them stacked in one array, and the test is one max over the
+stack: it is at most the tolerance exactly when each factor's max is.
+Reuse keeps the translator exact: every row of M sums to zero, so
+(I - dt*M_old)^-1 1 = 1 for any frozen M_old, and as the right-hand side
+is the exact dt*F(u), a step on the discrete translator (F = C_h at every
+node) still moves u by exactly C_h dt.  A matrix close to the current one
+changes only how the transient decays; one frozen far from it, at rough
+data, can make the step unstable, so the tolerance is fixed and small.
+Since W >= 1, the absolute tolerance is also a relative one: each lagged
+weight moves by at most about 2e-3.  A step shortened to land on t_end or
+a snapshot has another dt, so it factors afresh, and so does the full
+step after it.
 
-Each step appends one history row (t, max_W, osc, speed estimate, max of
-W*eta) where eta is the weighted gradient monitor
+Each step appends one history row: t; the mean of u (the quadrature of
+operators.integrate_domain over the domain's volume); max W; osc, the max
+minus the min of u; the speed, speed_estimate over the rows before it with
+the window tau = max(1, 10 dt) (run_until's), NaN while those rows do not
+yet reach back tau; and max W*eta, with eta the weighted gradient monitor
 
     eta = exp(K (u - C t)) * (S d + 1 - (phi / W) <grad u, grad d>)
 
 with d the smoothed boundary distance, K = 5 and S = C_d + 2 (the Hessian
-bound of d plus 2) fixed.  The history is the empirical
-record behind the uniform gradient bound and bounded-drift checks.
-Recording a row costs the same however long the history is: the speed
-window is found by bisection on the time list.  What does not change from
-step to step is computed once: per grid, the distance terms
-(``Grid.distance_terms``), the monitor's S d + 1
+bound of d plus 2) fixed, and C the row's speed (0 while it is NaN).  The
+history is the empirical record behind the uniform gradient bound and
+bounded-drift checks.  Recording a row costs the same however long the
+history is: the speed window is found by bisection on the time list.
+What does not change from step to step is computed once: per grid, the
+distance terms (``Grid.distance_terms``), the monitor's S d + 1
 (``Grid.monitor_base``) and the quadrature total (``Grid.quad_total``);
 per grid and angle, the extension of phi times the distance derivative,
 phi d' (``AngleData.monitor_tilt``); per angle, the 1-D ghost closure's
-normal slope (``AngleData.normal_slope``).  The new interior is
-checked for finiteness once, by ops.ghost_fill; the step turns its
-ValueError into a SolverError.
+normal slope (``AngleData.normal_slope``).  The step checks its new
+interior for finiteness once, raising a SolverError, and then attaches
+the ghosts with ops.extend_values in one pass, as ops.ghost_fill would
+after the same check.
 
 A step reads one flux record per field (``FlowState.terms``, an
 operators.FluxTerms): the record of the new field gives max W and the
@@ -139,7 +146,7 @@ class FlowState:
     history: FlowHistory
     snapshots: List[Tuple[float, np.ndarray]] = dc_field(default_factory=list)
     _terms: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
-    # the last lagged LU, its dt and the flux record it was factored at
+    # the last lagged LU, its dt and the stacked W factors it was factored at
     _lagged: tuple = dc_field(default=(None, None, None), init=False, repr=False,
                               compare=False)
 
@@ -185,12 +192,11 @@ def eta_monitor(grid: Grid, field: Field, angle: AngleData, C: float = 0.0,
         c, _, w_node = ops.node_terms(grid, field.values)
     else:
         c, w_node = terms.c, terms.w_node
-    tilt = angle.monitor_tilt(grid)
-    log_weta = (np.log(w_node * grid.monitor_base - tilt * c)
+    log_weta = (np.log(w_node * grid.monitor_base - angle.monitor_tilt(grid) * c)
                 + _ETA_K * (field.interior - C * field.t))
-    flat = int(log_weta.argmax())
-    idx = np.unravel_index(flat, grid.shape) if grid.is_disk else (flat,)
-    return float(np.exp(log_weta.ravel()[flat])), idx
+    i = int(log_weta.argmax())
+    return (float(np.exp(log_weta.flat[i])),
+            divmod(i, grid.n_theta) if grid.is_disk else (i,))
 
 
 def speed_estimate(history: FlowHistory, tau: float) -> float:
@@ -213,21 +219,29 @@ def _window_start(t: List[float], target: float) -> int:
 
 
 def _record(state: FlowState, angle: AngleData, tau: float):
-    """Append the history row of the current field, which ghost_fill has
-    already checked to be finite."""
-    grid, field = state.grid, state.field
+    """Append the history row of the current field, whose interior is
+    already known to be finite.  The speed is speed_estimate over the
+    earlier rows, NaN while they do not yet span the window tau."""
+    grid, field, hist = state.grid, state.field, state.history
+    times = hist.t
     with np.errstate(over="ignore"):  # a diverging run may log inf monitors
         terms = state.terms
         interior = field.interior
         mean_u = float(np.vdot(grid.quad_row, interior)) / grid.quad_total
         osc = float(interior.max() - interior.min())
-        try:
-            spd = speed_estimate(state.history, tau) if len(state.history) else math.nan
-        except ValueError:
+        # speed_estimate's own test of the window, without its ValueError
+        if len(times) >= 2 and times[-1] - tau >= times[0] - 1e-12:
+            spd = speed_estimate(hist, tau)
+        else:
             spd = math.nan
-        c_for_eta = 0.0 if math.isnan(spd) else spd
-        weta, _ = eta_monitor(grid, field, angle, C=c_for_eta, terms=terms)
-        state.history.append(field.t, mean_u, float(terms.w_node.max()), osc, spd, weta)
+        weta, _ = eta_monitor(grid, field, angle, 0.0 if math.isnan(spd) else spd, terms)
+        max_w = float(terms.w_node.max())
+    times.append(float(field.t))
+    hist.mean_u.append(mean_u)
+    hist.max_w.append(max_w)
+    hist.osc_u.append(osc)
+    hist.speed.append(spd)
+    hist.max_weta.append(weta)
 
 
 def initial_state(grid: Grid, angle: AngleData, u0=0.0) -> FlowState:
@@ -255,15 +269,14 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
 
     if policy.scheme == "explicit":
         with np.errstate(all="ignore"):  # blow-up is reported, not warned
-            rhs = ops.mcf_from_extended(grid, terms)
-            new_int = interior + dt * rhs
+            new_int = interior + dt * ops.mcf_from_extended(grid, terms)
         blow_up = "explicit step produced non-finite values (time step too large)"
     else:
         rhs = dt * ops.mcf_from_extended(grid, terms)
-        if np.any(rhs):
+        if rhs.any():
             try:
                 lu = _lagged_lu(state, angle, dt)
-                delta = lu.solve(rhs.ravel()).reshape(grid.shape)
+                delta = lu.solve(rhs.ravel()).reshape(rhs.shape)
             except RuntimeError as exc:
                 raise SolverError(f"semi-implicit solve failed: {exc}") from exc
         else:
@@ -271,40 +284,32 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
         new_int = interior + delta
         blow_up = "semi-implicit solve produced non-finite values"
 
-    new_field = Field(_with_interior(grid, new_int), field.t + dt)
-    try:  # ghost_fill's finiteness check is the step's
-        state.field = ops.ghost_fill(grid, new_field, angle)
-    except ValueError as exc:
-        raise SolverError(blow_up) from exc
+    if not np.isfinite(new_int).all():
+        raise SolverError(blow_up)
+    # the ghost closure of ghost_fill, on an interior just checked finite
+    state.field = Field(ops.extend_values(grid, new_int, angle), field.t + dt)
     _record(state, angle, tau if tau is not None else max(1.0, 10.0 * dt))
     return state
 
 
 def _lagged_lu(state: FlowState, angle: AngleData, dt: float):
     """LU of I - dt*M at the current flux record: the state's last one if dt
-    is unchanged and W, W_f and (disk) W_t are each within _REFACTOR_TOL of
+    is unchanged and W, W_f and (disk) W_t are all within _REFACTOR_TOL of
     the factors it was built at, in max norm; else the matrix is assembled
-    and factored afresh and kept."""
+    and factored afresh and kept.  The factors are compared as one stacked
+    array (they share their trailing shape), whose max is at most the tol
+    exactly when each factor's is."""
     terms = state.terms
     lu, dt_ref, ref = state._lagged
-    if lu is not None and dt == dt_ref and all(
-            now is None or np.abs(now - old).max() <= _REFACTOR_TOL
-            for now, old in ((terms.w_node, ref.w_node), (terms.wf_r, ref.wf_r),
-                             (terms.wf_t, ref.wf_t))):
+    factors = np.concatenate((terms.w_node, terms.wf_r) if terms.wf_t is None
+                             else (terms.w_node, terms.wf_r, terms.wf_t))
+    if lu is not None and dt == dt_ref and abs(factors - ref).max() <= _REFACTOR_TOL:
         return lu
     a_mat = ops.semi_implicit_matrix(state.grid, terms, angle, dt)
     lu = splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
-    state._lagged = (lu, dt, terms)
+    state._lagged = (lu, dt, factors)
     return lu
-
-
-def _with_interior(grid: Grid, interior: np.ndarray) -> np.ndarray:
-    values = np.empty(grid.ext_shape)
-    values[0] = 0.0
-    values[-1] = 0.0
-    values[1:-1] = interior
-    return values
 
 
 def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,

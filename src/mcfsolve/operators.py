@@ -95,12 +95,20 @@ def contact_normal_slope(phi, tangential_sq=0.0):
     return out if out.ndim else float(out)
 
 
+def _roll(a: np.ndarray, shift: int) -> np.ndarray:
+    """np.roll(a, shift, axis=-1), the periodic shift along theta, by slicing:
+    out[..., j] = a[..., j - shift], always a new array, never a view.
+    np.roll's generic axis handling costs several times the data movement."""
+    k = shift % a.shape[-1]
+    return np.concatenate((a[..., -k:], a[..., :-k]), axis=-1) if k else a.copy()
+
+
 def _normal_slope(grid: Grid, interior: np.ndarray, angle: AngleData):
     """Closed-form boundary normal derivative(s) p for the ghost closure;
     AngleData guarantees |phi| < 1, so no guard is needed here.  In 1-D
     there is no tangential slope, and p is AngleData's cached constant."""
     if grid.is_disk:
-        du = np.roll(interior[-1], -1) - np.roll(interior[-1], 1)
+        du = _roll(interior[-1], -1) - _roll(interior[-1], 1)
         tang = du / (2.0 * grid.h_theta * grid.sigma_nodes[-1])
         return _slope_closed_form(angle.phi, tang * tang)
     return angle.normal_slope
@@ -119,9 +127,9 @@ def extend_values(grid: Grid, interior: np.ndarray, angle: AngleData) -> np.ndar
         ghost_b = interior[-2] - 2.0 * h * p[1]
         return np.concatenate(([ghost_a], interior, [ghost_b]))
     if grid.is_disk:
-        mirror = np.roll(interior[0], grid.n_theta // 2)
+        mirror = _roll(interior[0], grid.n_theta // 2)
         ghost = interior[-2] - 2.0 * h * p
-        return np.vstack((mirror[None, :], interior, ghost[None, :]))
+        return np.concatenate((mirror[None], interior, ghost[None]))
     mirror = interior[0]
     ghost = interior[-2] - 2.0 * h * p[0]
     return np.concatenate(([mirror], interior, [ghost]))
@@ -147,7 +155,7 @@ def node_terms(grid: Grid, ext: np.ndarray):
     c = (ext[2:] - ext[:-2]) / (2.0 * grid.h_r)
     if not grid.is_disk:
         return c, None, np.sqrt(1.0 + c * c)
-    du = np.roll(ext, -1, axis=1) - np.roll(ext, 1, axis=1)
+    du = _roll(ext, -1) - _roll(ext, 1)
     w_ext = du / (2.0 * grid.h_theta * grid.sigma_ext)
     w = w_ext[1:-1]
     return c, w_ext, np.sqrt(1.0 + c * c + w * w)
@@ -178,8 +186,9 @@ def flux_terms(grid: Grid, ext: np.ndarray) -> FluxTerms:
     wbar2 = 0.5 * (w_ext[:-1] ** 2 + w_ext[1:] ** 2)
     wf_r = np.sqrt(1.0 + s_r * s_r + wbar2)
     u = ext[1:-1]
-    s_t = (np.roll(u, -1, axis=1) - u) / ht
-    cbar2 = 0.5 * (c ** 2 + np.roll(c, -1, axis=1) ** 2)
+    s_t = (_roll(u, -1) - u) / ht
+    c2 = c ** 2
+    cbar2 = 0.5 * (c2 + _roll(c2, -1))
     wf_t = np.sqrt(1.0 + (s_t / grid.sigma_ext[1:-1]) ** 2 + cbar2)
     return FluxTerms(c, w_ext, w_node, s_r, wf_r, s_t, wf_t)
 
@@ -203,7 +212,7 @@ def _flux_differences(grid: Grid, terms: FluxTerms):
     flux = grid.sigma_faces[:, None] * (terms.s_r / terms.wf_r)
     q_t = terms.s_t / terms.wf_t
     net = ((flux[1:] - flux[:-1]) * grid.h_theta
-           + (q_t - np.roll(q_t, 1, axis=1)) * (grid.h_r / grid.sigma_ext[1:-1]))
+           + (q_t - _roll(q_t, 1)) * (grid.h_r / grid.sigma_ext[1:-1]))
     return flux, net
 
 
@@ -320,7 +329,7 @@ def _coloring(grid: Grid):
     k = np.arange(n).reshape(grid.shape)
     if grid.is_disk:
         nt = grid.n_theta
-        ray = lambda dj: np.roll(k, -dj, axis=1)  # the node dj rays further on
+        ray = lambda dj: _roll(k, -dj)  # the node dj rays further on
         slots = [(ray(dj) + di * nt, k) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
         slots += [(ray(dj)[-1], k[-1]) for dj in (-2, 2)]
         slots += [(ray(nt // 2 + d)[0], k[0]) for d in (-1, 0, 1)]
@@ -405,10 +414,10 @@ def semi_implicit_matrix(grid: Grid, ext0, angle: AngleData,
     above = np.concatenate((down[1:], down[:1]))
     if grid.is_disk:
         angular = terms.w_node / (sn * grid.h_theta) ** 2
-        right = angular / terms.wf_t                     # to ray j+1
-        left = angular / np.roll(terms.wf_t, 1, axis=1)  # to ray j-1
+        right = angular / terms.wf_t           # to ray j+1
+        left = angular / _roll(terms.wf_t, 1)  # to ray j-1
         diag -= right + left
-        slots = (below, np.roll(right, 1, axis=1), diag, np.roll(left, -1, axis=1), above)
+        slots = (below, _roll(right, 1), diag, _roll(left, -1), above)
     else:
         slots = (below, diag, above)
     indices, indptr, gather, diag_at = grid.lagged_pattern

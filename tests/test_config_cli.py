@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcfsolve import ConfigError, RunConfig, build_problem, emit_outputs, parse_config
+from mcfsolve import ConfigError, RunConfig, build_problem, emit_outputs, parse_config, soliton
 from mcfsolve.cli import main as cli_main
 
 
@@ -207,6 +207,17 @@ class TestCli:
         assert cli_main([sub, "--config", str(path), *options,
                          "--out", str(tmp_path / "x")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_verify_rejects_tol_before_solving(self, tmp_path, capsys, monkeypatch, tol):
+        def never(*args, **kwargs):
+            pytest.fail("verify solved for the translator before checking --tol")
+
+        monkeypatch.setattr(soliton, "solve_soliton", never)
+        assert cli_main(["verify", "--config", "grim_reaper", "--tol", tol,
+                         "--out", str(tmp_path / "x")]) == 1
+        assert "--tol must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_error_exit_code(self, tmp_path):
         assert cli_main(["soliton", "--config", str(tmp_path / "missing.json"),

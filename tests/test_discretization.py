@@ -9,7 +9,7 @@ from mcfsolve import (AngleData, angle_from_spec, contact_normal_slope, field_me
                       flux_balance, ghost_fill, integrate_boundary,
                       integrate_domain, make_field, make_geometry, make_grid,
                       mcf_operator, node_area_element)
-from mcfsolve.operators import mcf_from_extended, semi_implicit_matrix
+from mcfsolve.operators import _roll, mcf_from_extended, semi_implicit_matrix
 from conftest import PHI_GRIM, grim_reaper_exact, make_problem
 
 
@@ -221,6 +221,23 @@ class TestGhostFill:
                         / (2 * grid.h_theta * grid.sigma_nodes[-1]))
         tol = 1e-14 + 8 * np.finfo(float).eps * np.max(np.abs(v)) / h
         assert np.max(np.abs(p / np.sqrt(1 + p * p + tang * tang) - angle.phi)) <= tol
+
+
+class TestPeriodicShift:
+    @pytest.mark.parametrize("shape", [(16,), (9,), (7, 16), (5, 8)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_equals_np_roll(self, shape, dtype):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal(shape)
+        n = shape[-1]
+        for shift in range(-n - 1, n + 2):
+            out = _roll(a, shift)
+            want = np.roll(a, shift, axis=-1)
+            assert out.dtype == want.dtype and out.shape == want.shape
+            assert np.array_equal(out, want), shift
+            assert not np.shares_memory(out, a), shift
 
 
 class TestQuadrature:

@@ -58,7 +58,7 @@ class TestStep:
                 step(st, StepPolicy("explicit", dt=0.5), angle)
 
     def test_non_finite_solve_raises_solver_error(self, monkeypatch):
-        # the step has no finiteness check of its own: ghost_fill's stands in
+        # the step checks its new interior before it closes the ghosts
         class NanFactor:
             def solve(self, rhs):
                 return np.full_like(rhs, np.nan)
@@ -364,6 +364,47 @@ class TestLaggedReuse:
         assert np.abs(st.terms.w_node - w_start).max() > 0.05  # far staler than the default
         rep = verify_convergence(st, sol, tol=1e-3)
         assert rep.passed, rep.checks
+
+
+class TestHistoryRow:
+    @pytest.mark.parametrize("tol", ["default", 0.0])
+    @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
+    def test_row_is_the_public_functions(self, kind, tol, monkeypatch):
+        # every column of every row, bit for bit: the field's mean and
+        # oscillation, max W, the speed over the earlier rows (NaN until
+        # they span the window) and the monitor at that speed
+        if tol != "default":
+            monkeypatch.setattr(flow, "_REFACTOR_TOL", tol)
+        geom, grid, angle = make_problem(kind, phi="const:-0.2")
+        rng = np.random.default_rng(17)
+        st = initial_state(grid, angle, 0.05 * rng.standard_normal(grid.shape))
+        policy = StepPolicy()
+        tau = max(1.0, 10.0 * auto_dt(grid, policy))
+        fields = [st.field]
+        while st.t < 1.5 * tau:
+            step(st, policy, angle)
+            fields.append(st.field)
+        hist = st.history
+        assert len(hist) == len(fields)
+        earlier = FlowHistory()
+        for k, f in enumerate(fields):
+            try:
+                spd = speed_estimate(earlier, tau)
+            except ValueError:
+                spd = np.nan
+            interior = f.interior
+            row = (hist.t[k], hist.mean_u[k], hist.max_w[k], hist.osc_u[k], hist.speed[k],
+                   hist.max_weta[k])
+            want = (f.t, operators.integrate_domain(grid, f) / grid.quad_total,
+                    operators.node_area_element(grid, f.values).max(),
+                    interior.max() - interior.min(), spd,
+                    eta_monitor(grid, f, angle, C=0.0 if np.isnan(spd) else spd)[0])
+            assert row[:4] == want[:4] and row[5] == want[5], k
+            assert row[4] == want[4] or (np.isnan(row[4]) and np.isnan(want[4])), k
+            assert all(type(v) is float for v in row), k
+            earlier.append(*row)
+        speeds = np.asarray(hist.speed)
+        assert np.isnan(speeds[0]) and np.isfinite(speeds[-1])
 
 
 class TestSpeedEstimate:

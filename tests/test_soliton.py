@@ -143,9 +143,21 @@ class TestDirectSolve:
             geometry = {"kind": "interval", "a": a, "b": a + data.draw(st_.floats(0.4, 3.0))}
             phi = f"const:{phi0!r}"
         elif kind == "polar_disk":
-            geometry = {"kind": "polar_disk", "R": data.draw(st_.floats(0.3, 2.0))}
-            coeffs = [phi0] + data.draw(st_.lists(st_.floats(-1.0, 1.0), max_size=6))
-            scale = 0.94 / max(0.94, sum(abs(c) for c in coeffs))
+            model = data.draw(st_.sampled_from(["flat", "hyperbolic", "pinched_ch"]))
+            if model == "flat":
+                geometry = {"kind": "polar_disk", "R": data.draw(st_.floats(0.3, 2.0))}
+                coeffs = [phi0] + data.draw(st_.lists(st_.floats(-1.0, 1.0), max_size=6))
+                bound = 0.94
+            else:
+                # K R <= 1 and |a_k| <= 0.3: the range in which
+                # test_curved_disk.test_curved_fourier_disks_solve finds a
+                # translator for every draw
+                K = data.draw(st_.floats(0.2, 3.0))
+                geometry = {"kind": "polar_disk", "R": data.draw(st_.floats(0.05, 1.0)) / K,
+                            "curvature": {"model": model, "K": K}}
+                coeffs = data.draw(st_.lists(st_.floats(-0.3, 0.3), min_size=1, max_size=5))
+                bound = 0.9
+            scale = bound / max(bound, sum(abs(c) for c in coeffs))
             phi = "fourier:" + ",".join(repr(c * scale) for c in coeffs)
             solver = {"N_r": min(n_r, 21), "N_theta": 2 * data.draw(st_.integers(4, 12))}
         else:
