@@ -52,10 +52,11 @@ distance terms (``Grid.distance_terms``), the monitor's S d + 1
 (``Grid.monitor_base``) and the quadrature total (``Grid.quad_total``);
 per grid and angle, the extension of phi times the distance derivative,
 phi d' (``AngleData.monitor_tilt``); per angle, the 1-D ghost closure's
-normal slope (``AngleData.normal_slope``).  The step checks its new
-interior for finiteness once, raising a SolverError, and then attaches
-the ghosts with ops.extend_values in one pass, as ops.ghost_fill would
-after the same check.
+normal slope (``AngleData.normal_slope``).  The step scans its new
+interior once, for its max and min: both are finite exactly when every
+entry is, so a non-finite one raises a SolverError, and their difference
+is the row's osc.  It then attaches the ghosts with ops.extend_values in
+one pass, as ops.ghost_fill would after its own finiteness check.
 
 A step reads one flux record per field (``FlowState.terms``, an
 operators.FluxTerms): the record of the new field gives max W and the
@@ -218,17 +219,18 @@ def _window_start(t: List[float], target: float) -> int:
     return min(bisect.bisect_left(t, target + 1e-12), len(t) - 2)
 
 
-def _record(state: FlowState, angle: AngleData, tau: float):
+def _record(state: FlowState, angle: AngleData, tau: float, extremes: Tuple[float, float]):
     """Append the history row of the current field, whose interior is
-    already known to be finite.  The speed is speed_estimate over the
-    earlier rows, NaN while they do not yet span the window tau."""
+    already known to be finite and has the given (max, min).  The speed is
+    speed_estimate over the earlier rows, NaN while they do not yet span the
+    window tau."""
     grid, field, hist = state.grid, state.field, state.history
     times = hist.t
     with np.errstate(over="ignore"):  # a diverging run may log inf monitors
         terms = state.terms
         interior = field.interior
         mean_u = float(np.vdot(grid.quad_row, interior)) / grid.quad_total
-        osc = float(interior.max() - interior.min())
+        osc = float(extremes[0] - extremes[1])
         # speed_estimate's own test of the window, without its ValueError
         if len(times) >= 2 and times[-1] - tau >= times[0] - 1e-12:
             spd = speed_estimate(hist, tau)
@@ -252,7 +254,7 @@ def initial_state(grid: Grid, angle: AngleData, u0=0.0) -> FlowState:
         u0 = u0.interior
     f = ops.ghost_fill(grid, make_field(grid, u0, t=0.0), angle)
     state = FlowState(grid=grid, field=f, history=FlowHistory())
-    _record(state, angle, 1.0)
+    _record(state, angle, 1.0, (f.interior.max(), f.interior.min()))
     return state
 
 
@@ -284,11 +286,13 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
         new_int = interior + delta
         blow_up = "semi-implicit solve produced non-finite values"
 
-    if not np.isfinite(new_int).all():
+    # max and min are both finite exactly when every entry is, and give osc
+    hi, lo = new_int.max(), new_int.min()
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise SolverError(blow_up)
     # the ghost closure of ghost_fill, on an interior just checked finite
     state.field = Field(ops.extend_values(grid, new_int, angle), field.t + dt)
-    _record(state, angle, tau if tau is not None else max(1.0, 10.0 * dt))
+    _record(state, angle, tau if tau is not None else max(1.0, 10.0 * dt), (hi, lo))
     return state
 
 

@@ -152,13 +152,22 @@ def node_terms(grid: Grid, ext: np.ndarray):
     ghost rows included (None in 1-D); and W = sqrt(1 + c^2 + w^2) with w
     the tangential slope of the real nodes.  Accepts complex input.
     """
+    c, _, w_ext, _, w_node, _ = _node_terms(grid, ext)
+    return c, w_ext, w_node
+
+
+def _node_terms(grid: Grid, ext: np.ndarray):
+    """node_terms plus the squares and shift that flux_terms reuses:
+    (c, c^2, w_ext, w_ext^2, W, ahead), with ahead = _roll(ext, -1), ext one
+    ray on (w_ext, its square and ahead are None in 1-D)."""
     c = (ext[2:] - ext[:-2]) / (2.0 * grid.h_r)
+    c2 = c * c
     if not grid.is_disk:
-        return c, None, np.sqrt(1.0 + c * c)
-    du = _roll(ext, -1) - _roll(ext, 1)
-    w_ext = du / (2.0 * grid.h_theta * grid.sigma_ext)
-    w = w_ext[1:-1]
-    return c, w_ext, np.sqrt(1.0 + c * c + w * w)
+        return c, c2, None, None, np.sqrt(1.0 + c2), None
+    ahead = _roll(ext, -1)
+    w_ext = (ahead - _roll(ext, 1)) / (2.0 * grid.h_theta * grid.sigma_ext)
+    w2 = w_ext * w_ext
+    return c, c2, w_ext, w2, np.sqrt(1.0 + c2 + w2[1:-1]), ahead
 
 
 class FluxTerms(NamedTuple):
@@ -178,16 +187,13 @@ def flux_terms(grid: Grid, ext: np.ndarray) -> FluxTerms:
     one-sided radial face slopes with their factors W_f, and on the disk the
     angular face slopes with their factors W_t (None in 1-D).  The face
     fluxes are s / W_f; accepts complex input."""
-    c, w_ext, w_node = node_terms(grid, ext)
+    c, c2, w_ext, w2, w_node, ahead = _node_terms(grid, ext)
     s_r = (ext[1:] - ext[:-1]) / grid.h_r
     if w_ext is None:
         return FluxTerms(c, None, w_node, s_r, np.sqrt(1.0 + s_r * s_r), None, None)
-    ht = grid.h_theta
-    wbar2 = 0.5 * (w_ext[:-1] ** 2 + w_ext[1:] ** 2)
+    wbar2 = 0.5 * (w2[:-1] + w2[1:])
     wf_r = np.sqrt(1.0 + s_r * s_r + wbar2)
-    u = ext[1:-1]
-    s_t = (_roll(u, -1) - u) / ht
-    c2 = c ** 2
+    s_t = (ahead[1:-1] - ext[1:-1]) / grid.h_theta
     cbar2 = 0.5 * (c2 + _roll(c2, -1))
     wf_t = np.sqrt(1.0 + (s_t / grid.sigma_ext[1:-1]) ** 2 + cbar2)
     return FluxTerms(c, w_ext, w_node, s_r, wf_r, s_t, wf_t)

@@ -35,6 +35,24 @@ C_h
 
 C_eps and C_quad are independent up to discretization and guard each
 other; C_h and C_eps agree up to the Newton tolerance.
+
+Each Newton step factors the bordered matrix with SuperLU's partial
+pivoting, in a fill-reducing column order.  On the disk that is minimum
+degree on A^T + A (``permc_spec="MMD_AT_PLUS_A"``): the pattern is
+structurally symmetric, since the Jacobian's is the residual's exact
+stencil and the border row (quad / vol) and column (-1) are both full,
+and minimum degree orders the dense border node last.  On the 40 x 40
+disk that stores about 90,000 nonzeros in L + U against 146,000 in the
+default column order, and factors in about half the time.  In 1-D the
+matrix is tridiagonal plus the border, whose natural order
+(``"NATURAL"``) already fills nothing beyond the border; computing a
+minimum-degree order there would cost about 30 us per factorization for
+nothing.  Pivoting stays on, since the (n, n) entry is 0 and the
+Jacobian is not an M-matrix: without it (threshold 0, symmetric mode) a
+solve's relative residual reaches 6e-4 on the disk.  It stays partial:
+a looser threshold factors no faster, and with minimum degree on a
+hyperbolic ball with K R = 4.9, threshold 0.1 left a solve's relative
+residual of order 1.
 """
 
 from __future__ import annotations
@@ -96,6 +114,8 @@ def _newton_eps(grid: Grid, angle: AngleData, eps: float,
     quad = grid.quad_row.ravel()
     vol = float(quad.sum())
     shape = grid.shape
+    # in 1-D the natural order is already a minimum-degree one
+    order = "MMD_AT_PLUS_A" if grid.is_disk else "NATURAL"
 
     def residual(v_, mu_):
         r = ops.capillary_residual(grid, v_, angle, eps) - mu_
@@ -119,7 +139,7 @@ def _newton_eps(grid: Grid, angle: AngleData, eps: float,
         bordered = sp.csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
         rhs = -np.concatenate((r.ravel(), [gap]))
         try:
-            delta = splu(bordered).solve(rhs)
+            delta = splu(bordered, permc_spec=order).solve(rhs)
         except RuntimeError as exc:
             raise SolverError(f"singular capillary Jacobian at eps={eps:g}, iteration {it} "
                               f"(residual {nrm:.3e}): {exc}") from exc

@@ -72,6 +72,35 @@ class TestStep:
         assert np.array_equal(st.field.values, before)
         assert len(st.history) == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["interval", "polar_disk"])
+    def test_one_non_finite_entry_raises(self, kind, bad, monkeypatch):
+        # the step's max and min catch a single non-finite node, whatever
+        # its sign, and leave the state as it was
+        solved = []
+
+        class OneBadEntry:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                out = self.lu.solve(rhs)
+                out[len(out) // 2] = bad
+                solved.append(1)
+                return out
+
+        factor = flow.splu
+        monkeypatch.setattr(flow, "splu", lambda *a, **kw: OneBadEntry(factor(*a, **kw)))
+        geom, grid, angle = make_problem(kind, phi="const:-0.3")
+        st = initial_state(grid, angle, 0.0)
+        before = st.field.values.copy()
+        with pytest.raises(SolverError, match="^semi-implicit solve produced non-finite values$"):
+            step(st, StepPolicy("semi_implicit"), angle)
+        assert solved == [1]
+        assert np.array_equal(st.field.values, before)
+        assert st.t == 0.0
+        assert len(st.history) == 1
+
     def test_non_finite_explicit_step_names_the_time_step(self, monkeypatch):
         monkeypatch.setattr(operators, "mcf_from_extended",
                             lambda grid, ext: np.full(grid.shape, np.inf))

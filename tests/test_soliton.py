@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st_
 from scipy.sparse.linalg import splu
 
-from mcfsolve import operators
+from mcfsolve import operators, soliton
 
 from mcfsolve import (NewtonPolicy, build_problem, capillary_jacobian,
                       capillary_residual, catalog_cases, field_mean,
@@ -175,6 +175,48 @@ class TestDirectSolve:
         # in 3-D), so the telescoping holds to rounding relative to them
         rep = verify_compatibility(sol)
         assert rep["flux_gap"] <= 1e-12 * max(1.0, abs(rep["flux_boundary"]))
+
+
+class TestBorderedFactorization:
+    """Newton factors its bordered Jacobian with partial pivoting, on the
+    disk in a minimum-degree ordering of A^T + A: far less fill than the
+    default column ordering there, and accurate solves on every geometry."""
+
+    @pytest.mark.parametrize("cfg", [
+        dict(catalog_cases())["disk_fourier"],
+        # K R = 1 and |phi| = 0.94: the pivots leave the diagonal here
+        {"geometry": {"kind": "polar_disk", "R": 1.0,
+                      "curvature": {"model": "hyperbolic", "K": 1.0}},
+         "angle": {"phi": "fourier:-0.94"}, "solver": {"N_r": 40, "N_theta": 40}},
+        # K R = 4.9: in a minimum-degree ordering with a pivot threshold of
+        # 0.1, a solve's relative residual reaches order 1 on this ball
+        {"geometry": {"kind": "radial_ball", "n": 3, "R": 2.8312484632649384,
+                      "curvature": {"model": "hyperbolic", "K": 1.745589474504305}},
+         "angle": {"phi": "const:0.9353550565811185"}, "solver": {"N_r": 73}},
+    ], ids=["disk_fourier", "hyperbolic_disk", "hyperbolic_ball"])
+    def test_fill_and_solve_residual(self, cfg, monkeypatch):
+        solves = []
+        factor = soliton.splu
+
+        class Recorded:
+            def __init__(self, a, *args, **kwargs):
+                self.a, self.lu = a, factor(a, *args, **kwargs)
+
+            def solve(self, b):
+                x = self.lu.solve(b)
+                rel = np.max(np.abs(self.a @ x - b)) / np.max(np.abs(b))
+                solves.append((self.lu.L.nnz + self.lu.U.nnz, rel))
+                return x
+
+        monkeypatch.setattr(soliton, "splu", Recorded)
+        geom, grid, angle = build_problem(parse_config(cfg))
+        sol = solve_soliton(grid, angle)
+        assert sum(sol.newton_iters) <= 8
+        assert len(solves) == sum(sol.newton_iters)
+        # the default column ordering stores 123,000-147,000 nonzeros in
+        # L + U on the 40 x 40 disks
+        assert max(fill for fill, _ in solves) <= 100_000
+        assert max(rel for _, rel in solves) <= 1e-9
 
 
 class TestDiscreteSpeed:
