@@ -100,7 +100,9 @@ def contraction_test(grid: Grid, u0_a, u0_b, angle: AngleData,
     """Run two flows of the same problem in lockstep and track
     F(t) = osc(u_a - u_b).  Passes when F never increases by more than
     step_tol per step and has strictly decreased by t_final unless the
-    initial difference was constant."""
+    initial difference was constant.  t_final must be positive and finite."""
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError(f"t_final must be positive and finite, got {t_final!r}")
     sa = initial_state(grid, angle, u0_a)
     sb = initial_state(grid, angle, u0_b)
     dt = auto_dt(grid, policy)

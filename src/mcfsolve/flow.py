@@ -190,10 +190,8 @@ def eta_monitor(grid: Grid, field: Field, angle: AngleData, C: float = 0.0,
     (AngleData.monitor_tilt) are computed once per grid.
     """
     if terms is None:
-        c, _, w_node = ops.node_terms(grid, field.values)
-    else:
-        c, w_node = terms.c, terms.w_node
-    log_weta = (np.log(w_node * grid.monitor_base - angle.monitor_tilt(grid) * c)
+        terms = ops.flux_terms(grid, field.values)
+    log_weta = (np.log(terms.w_node * grid.monitor_base - angle.monitor_tilt(grid) * terms.c)
                 + _ETA_K * (field.interior - C * field.t))
     i = int(log_weta.argmax())
     return (float(np.exp(log_weta.flat[i])),

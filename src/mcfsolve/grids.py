@@ -119,46 +119,6 @@ class Grid:
         times h_theta on the disk."""
         return self.op_weights[:, None] * self.h_theta if self.is_disk else self.op_weights
 
-    @cached_property
-    def lagged_pattern(self):
-        """CSC pattern of the semi-implicit step's lagged matrix
-        (operators.semi_implicit_matrix): (indices, indptr, gather, diag),
-        read-only and in canonical order (rows sorted within each column).
-        The slot values, stacked per node in the order below, [right,] diag,
-        [left,] above, give the data vector as stack.ravel()[gather]; diag
-        are the diagonal's positions in it.  Computed once per grid."""
-        n = self.n_unknowns
-        nt = self.n_theta if self.is_disk else 1
-        k = np.arange(n).reshape(self.shape)
-        # CSC column k holds the rows coupling to node k: the node below through
-        # its weight up, the node above through its weight down, and on the
-        # disk the neighbouring rays
-        if self.is_disk:
-            slot_rows = [k - nt, np.roll(k, 1, axis=1), k, np.roll(k, -1, axis=1), k + nt]
-        else:
-            slot_rows = [k - nt, k, k + nt]
-        cols = np.repeat(np.arange(n), len(slot_rows))
-        # _csc_pattern drops the pole-face rows and the rows past the boundary
-        indices, indptr, gather = _csc_pattern(n, np.stack(slot_rows, axis=-1), cols)
-        diag = np.flatnonzero(indices == cols[gather])
-        diag.flags.writeable = False
-        return indices, indptr, gather, diag
-
-
-def _csc_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
-    """Read-only canonical CSC pattern (indices, indptr, gather) of an n x n
-    matrix with entries at the slots (rows, cols), rows outside the matrix
-    dropped: slot values v shaped like rows give the data as v.ravel()[gather]."""
-    rows, cols = rows.ravel(), cols.ravel()
-    kept = np.flatnonzero((rows >= 0) & (rows < n))
-    gather = kept[np.lexsort((rows[kept], cols[kept]))]
-    indices = rows[gather].astype(np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(np.bincount(cols[gather], minlength=n))
-    for arr in (indices, indptr, gather):
-        arr.flags.writeable = False
-    return indices, indptr, gather
-
 
 def make_grid(geom: Geometry, n_r: int, n_theta: Optional[int] = None) -> Grid:
     """Build the structured grid for a geometry at resolution n_r

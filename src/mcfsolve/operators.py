@@ -23,13 +23,13 @@ discretization error (``bc_model_gap`` in soliton.verify_compatibility).
 
 Both sparse matrices, the Jacobian of the nonlinear residual and the
 lagged matrix of the semi-implicit step, fill a pattern that depends on
-the grid only and is built once by grids._csc_pattern, in canonical CSC
-order (rows sorted within each column) and read-only: SuperLU's duplicate
+the grid's shape only.  _csc_pattern builds each in canonical CSC order
+(rows sorted within each column) and read-only: SuperLU's duplicate
 summing sorts an unsorted pattern in place, which would corrupt a shared
-one.  A call only fills the data vector.  The Jacobian's pattern and probe
-groups are cached per grid shape in _COLOR_CACHE, shared by every grid of
-that shape; the lagged matrix's pattern lives on its Grid
-(Grid.lagged_pattern) and goes with it.
+one.  _jacobian_pattern (with its probe groups) and _lagged_pattern are
+cached per shape, so every grid of a shape shares them; a call only fills
+the data vector.  The key is the shape, not the Grid, because each solve
+through the CLI builds a new Grid, most often of a shape seen before.
 
 The Jacobian's pattern is the residual's exact stencil: tridiagonal in
 1-D; on the disk the 3 x 3 block of neighbouring rings and rays, rays
@@ -43,11 +43,15 @@ The lagged matrix is the same flux form with its factors W_f, W_t and W
 frozen, written directly from them: tridiagonal in 1-D, 5-point (periodic
 in theta) plus the ghost coupling of the last ring on the disk.
 
-Each quantity of the flux form is computed in one place.  node_terms
-gives the centered slopes and W at the nodes, and flux_terms adds the face
-slopes and factors; its FluxTerms record is what the operator, the lagged
-matrix and the flow monitors read, so a flow step builds one record per
-field.  One kernel, _flux_differences, gives the face fluxes and each
+On the disk the flux form is second order away from the pole and first
+order at ring 0, whose cell closes on the pole (see the README's design
+notes for the measured errors).
+
+Each quantity of the flux form is computed in one place.  flux_terms
+gives the centered slopes and W at the nodes and the face slopes and
+factors; its FluxTerms record is what the operator, the lagged matrix,
+the speeds and the flow monitors read, so a flow step builds one record
+per field.  One kernel, _flux_differences, gives the face fluxes and each
 node's net flux for the interval (sigma = 1), the balls and the disk.
 mcf_from_extended divides that net flux by the cell measure, and
 flux_balance sums it.
@@ -55,13 +59,14 @@ flux_balance sums it.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import AngleData, Field, Grid, _csc_pattern, _slope_closed_form
+from .grids import AngleData, Field, Grid, _slope_closed_form
 
 __all__ = [
     "ghost_fill",
@@ -75,7 +80,6 @@ __all__ = [
     "capillary_jacobian",
     "contact_normal_slope",
     "node_area_element",
-    "node_terms",
     "FluxTerms",
     "flux_terms",
     "semi_implicit_matrix",
@@ -144,37 +148,10 @@ def ghost_fill(grid: Grid, field: Field, angle: AngleData) -> Field:
     return Field(extend_values(grid, interior, angle), field.t)
 
 
-def node_terms(grid: Grid, ext: np.ndarray):
-    """Centered slopes and the area element at the real nodes of ext.
-
-    Returns (c, w_ext, W): the radial (coordinate) slope c; on the disk the
-    tangential slope u_theta / sigma of every extended row, pole mirror and
-    ghost rows included (None in 1-D); and W = sqrt(1 + c^2 + w^2) with w
-    the tangential slope of the real nodes.  Accepts complex input.
-    """
-    c, _, w_ext, _, w_node, _ = _node_terms(grid, ext)
-    return c, w_ext, w_node
-
-
-def _node_terms(grid: Grid, ext: np.ndarray):
-    """node_terms plus the squares and shift that flux_terms reuses:
-    (c, c^2, w_ext, w_ext^2, W, ahead), with ahead = _roll(ext, -1), ext one
-    ray on (w_ext, its square and ahead are None in 1-D)."""
-    c = (ext[2:] - ext[:-2]) / (2.0 * grid.h_r)
-    c2 = c * c
-    if not grid.is_disk:
-        return c, c2, None, None, np.sqrt(1.0 + c2), None
-    ahead = _roll(ext, -1)
-    w_ext = (ahead - _roll(ext, 1)) / (2.0 * grid.h_theta * grid.sigma_ext)
-    w2 = w_ext * w_ext
-    return c, c2, w_ext, w2, np.sqrt(1.0 + c2 + w2[1:-1]), ahead
-
-
 class FluxTerms(NamedTuple):
     """The flux-form quantities of one ghost-closed field (see flux_terms)."""
 
     c: np.ndarray                 # centered radial slope at the nodes
-    w_ext: Optional[np.ndarray]   # disk: tangential slope of every extended row
     w_node: np.ndarray            # W at the nodes
     s_r: np.ndarray               # one-sided radial face slopes
     wf_r: np.ndarray              # their face factors W_f
@@ -183,20 +160,28 @@ class FluxTerms(NamedTuple):
 
 
 def flux_terms(grid: Grid, ext: np.ndarray) -> FluxTerms:
-    """Slopes and area elements of the flux form at ext: node_terms plus the
-    one-sided radial face slopes with their factors W_f, and on the disk the
-    angular face slopes with their factors W_t (None in 1-D).  The face
-    fluxes are s / W_f; accepts complex input."""
-    c, c2, w_ext, w2, w_node, ahead = _node_terms(grid, ext)
+    """Slopes and area elements of the flux form at ext: the centered radial
+    slope c and W = sqrt(1 + c^2 + w^2) at the nodes, with w = u_theta /
+    sigma the centered tangential slope on the disk; the one-sided radial
+    face slopes with their factors W_f; and on the disk the angular face
+    slopes with their factors W_t (None in 1-D).  The face fluxes are
+    s / W_f; accepts complex input."""
+    c = (ext[2:] - ext[:-2]) / (2.0 * grid.h_r)
+    c2 = c * c
     s_r = (ext[1:] - ext[:-1]) / grid.h_r
-    if w_ext is None:
-        return FluxTerms(c, None, w_node, s_r, np.sqrt(1.0 + s_r * s_r), None, None)
+    if not grid.is_disk:
+        return FluxTerms(c, np.sqrt(1.0 + c2), s_r, np.sqrt(1.0 + s_r * s_r), None, None)
+    # w on every extended row, pole mirror and ghost included, for the faces
+    ahead = _roll(ext, -1)
+    w = (ahead - _roll(ext, 1)) / (2.0 * grid.h_theta * grid.sigma_ext)
+    w2 = w * w
+    w_node = np.sqrt(1.0 + c2 + w2[1:-1])
     wbar2 = 0.5 * (w2[:-1] + w2[1:])
     wf_r = np.sqrt(1.0 + s_r * s_r + wbar2)
     s_t = (ahead[1:-1] - ext[1:-1]) / grid.h_theta
     cbar2 = 0.5 * (c2 + _roll(c2, -1))
     wf_t = np.sqrt(1.0 + (s_t / grid.sigma_ext[1:-1]) ** 2 + cbar2)
-    return FluxTerms(c, w_ext, w_node, s_r, wf_r, s_t, wf_t)
+    return FluxTerms(c, w_node, s_r, wf_r, s_t, wf_t)
 
 
 def _terms(grid: Grid, ext) -> FluxTerms:
@@ -240,8 +225,9 @@ def mcf_operator(grid: Grid, field: Field) -> Field:
 
 
 def node_area_element(grid: Grid, ext: np.ndarray) -> np.ndarray:
-    """W = sqrt(1 + |grad u|^2) at the real nodes."""
-    return node_terms(grid, ext)[2]
+    """W = sqrt(1 + |grad u|^2) at the real nodes of ext, or of its
+    FluxTerms record."""
+    return _terms(grid, ext).w_node
 
 
 # -- quadratures --------------------------------------------------------------
@@ -277,15 +263,16 @@ def field_mean(grid: Grid, f) -> float:
     return integrate_domain(grid, f) / grid.quad_total
 
 
-def flux_balance(grid: Grid, ext: np.ndarray) -> Tuple[float, float, float]:
-    """Exact-summation check of the discrete divergence identity.
+def flux_balance(grid: Grid, ext) -> Tuple[float, float, float]:
+    """Exact-summation check of the discrete divergence identity at a
+    ghost-closed array ext or its FluxTerms record.
 
     Returns (interior_sum, boundary_flux, gap) where interior_sum is
     sum_i sigma_i h div_i (times h_theta on the disk), boundary_flux the
     telescoped outermost-face flux, and gap their difference.  For any
     ghost-closed field the gap is pure roundoff.
     """
-    flux, net = _flux_differences(grid, flux_terms(grid, ext))
+    flux, net = _flux_differences(grid, _terms(grid, ext))
     interior_sum = math.fsum(net.ravel().tolist())
     faces = flux[-1] - flux[0]  # outer minus inner face; the pole face has sigma = 0
     if grid.is_disk:
@@ -295,8 +282,9 @@ def flux_balance(grid: Grid, ext: np.ndarray) -> Tuple[float, float, float]:
     return interior_sum, bflux, interior_sum - bflux
 
 
-def discrete_speed(grid: Grid, ext: np.ndarray) -> float:
-    """Speed C_h of the discrete translator through a ghost-closed profile.
+def discrete_speed(grid: Grid, ext) -> float:
+    """Speed C_h of the discrete translator through a ghost-closed profile
+    ext, or its FluxTerms record.
 
     If W div(grad u / W) = C at every node, then div_i = C / W_i, and the
     telescoping identity of flux_balance gives
@@ -304,8 +292,9 @@ def discrete_speed(grid: Grid, ext: np.ndarray) -> float:
     C_h is that ratio: the speed the discrete flow attains, as opposed to
     the flux-balance quadrature C_quad, which is only O(h^2)-close.
     """
-    _, bflux, _ = flux_balance(grid, ext)
-    mass = math.fsum((grid.cell_weights / node_area_element(grid, ext)).ravel().tolist())
+    terms = _terms(grid, ext)
+    _, bflux, _ = flux_balance(grid, terms)
+    mass = math.fsum((grid.cell_weights / terms.w_node).ravel().tolist())
     return bflux / mass
 
 
@@ -320,21 +309,32 @@ def capillary_residual(grid: Grid, interior: np.ndarray, angle: AngleData,
     return mcf_from_extended(grid, ext) - eps * interior
 
 
-_COLOR_CACHE: Dict[tuple, tuple] = {}
+def _csc_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
+    """Read-only canonical CSC pattern (indices, indptr, gather) of an n x n
+    matrix with entries at the slots (rows, cols), rows outside the matrix
+    dropped: slot values v shaped like rows give the data as v.ravel()[gather]."""
+    rows, cols = rows.ravel(), cols.ravel()
+    kept = np.flatnonzero((rows >= 0) & (rows < n))
+    gather = kept[np.lexsort((rows[kept], cols[kept]))]
+    indices = rows[gather].astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(cols[gather], minlength=n))
+    for arr in (indices, indptr, gather):
+        arr.flags.writeable = False
+    return indices, indptr, gather
 
 
-def _coloring(grid: Grid):
-    """Cached Jacobian pattern, the exact stencil of the module docstring,
-    and its probe groups: (indices, indptr, groups).  Columns are grouped
-    first-fit in column order, each joining the first group with which it
-    shares no row; a group is (its columns, their data positions)."""
-    key = (grid.geom.kind, grid.n_r, grid.n_theta)
-    if key in _COLOR_CACHE:
-        return _COLOR_CACHE[key]
-    n = grid.n_unknowns
-    k = np.arange(n).reshape(grid.shape)
-    if grid.is_disk:
-        nt = grid.n_theta
+@functools.cache
+def _jacobian_pattern(shape: tuple):
+    """The Jacobian's pattern on a grid of this shape, the exact stencil of
+    the module docstring, and its probe groups: (indices, indptr, groups).
+    Columns are grouped first-fit in column order, each joining the first
+    group with which it shares no row; a group is (its columns, their data
+    positions)."""
+    n = math.prod(shape)
+    k = np.arange(n).reshape(shape)
+    if len(shape) == 2:
+        nt = shape[1]
         ray = lambda dj: _roll(k, -dj)  # the node dj rays further on
         slots = [(ray(dj) + di * nt, k) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
         slots += [(ray(dj)[-1], k[-1]) for dj in (-2, 2)]
@@ -355,17 +355,16 @@ def _coloring(grid: Grid):
               for g in range(color.max() + 1)]
     for members, fill in groups:
         members.flags.writeable = fill.flags.writeable = False
-    _COLOR_CACHE[key] = (indices, indptr, groups)
-    return _COLOR_CACHE[key]
+    return indices, indptr, groups
 
 
 def capillary_jacobian(grid: Grid, interior: np.ndarray, angle: AngleData,
                        eps: float) -> sp.csc_matrix:
     """Exact Jacobian of capillary_residual at the given state, in CSC on
-    the grid's cached pattern: complex-step differentiation, one residual
-    evaluation per probe group of _coloring."""
+    the cached pattern of the grid's shape: complex-step differentiation,
+    one residual evaluation per probe group of _jacobian_pattern."""
     n = grid.n_unknowns
-    indices, indptr, groups = _coloring(grid)
+    indices, indptr, groups = _jacobian_pattern(grid.shape)
     base = np.asarray(interior, dtype=complex).ravel()
     data = np.empty(len(indices))
     for cols, fill in groups:
@@ -377,6 +376,31 @@ def capillary_jacobian(grid: Grid, interior: np.ndarray, angle: AngleData,
 
 
 # -- lagged-coefficient linear operator for semi-implicit stepping ------------
+
+
+@functools.cache
+def _lagged_pattern(shape: tuple):
+    """The lagged matrix's pattern on a grid of this shape: (indices, indptr,
+    gather, diag), read-only and canonical.  The slot values, stacked per
+    node as semi_implicit_matrix stacks them, (below, [right,] diag,
+    [left,] above), give the data vector as stack.ravel()[gather]; diag
+    are the diagonal's positions in it."""
+    n = math.prod(shape)
+    nt = shape[1] if len(shape) == 2 else 1
+    k = np.arange(n).reshape(shape)
+    # CSC column k holds the rows coupling to node k: the node below through
+    # its weight up, the node above through its weight down, and on the
+    # disk the neighbouring rays
+    if len(shape) == 2:
+        slot_rows = [k - nt, _roll(k, 1), k, _roll(k, -1), k + nt]
+    else:
+        slot_rows = [k - nt, k, k + nt]
+    cols = np.repeat(np.arange(n), len(slot_rows))
+    # _csc_pattern drops the pole-face rows and the rows past the boundary
+    indices, indptr, gather = _csc_pattern(n, np.stack(slot_rows, axis=-1), cols)
+    diag = np.flatnonzero(indices == cols[gather])
+    diag.flags.writeable = False
+    return indices, indptr, gather, diag
 
 
 def semi_implicit_matrix(grid: Grid, ext0, angle: AngleData,
@@ -400,8 +424,8 @@ def semi_implicit_matrix(grid: Grid, ext0, angle: AngleData,
     neighbour, it is a strictly row-diagonally dominant M-matrix: each row's
     diagonal exceeds the sum of its off-diagonal magnitudes by exactly 1.
     Gaussian elimination therefore needs no pivoting in any symmetric
-    ordering, which is how flow.step factors it.  The data fill the grid's
-    cached pattern, Grid.lagged_pattern.
+    ordering, which is how flow.step factors it.  The data fill the cached
+    pattern of the grid's shape, _lagged_pattern.
     """
     terms = _terms(grid, ext0)
     h = grid.h_r
@@ -426,9 +450,10 @@ def semi_implicit_matrix(grid: Grid, ext0, angle: AngleData,
         slots = (below, _roll(right, 1), diag, _roll(left, -1), above)
     else:
         slots = (below, diag, above)
-    indices, indptr, gather, diag_at = grid.lagged_pattern
+    indices, indptr, gather, diag_at = _lagged_pattern(grid.shape)
     data = np.stack(slots, axis=-1).ravel()[gather]
     data *= -dt
     data[diag_at] += 1.0
     n = grid.n_unknowns
     return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+

@@ -107,6 +107,22 @@ class SolitonResult:
     angle: AngleData
 
 
+def _bordered_layout(grid: Grid, mean_row: np.ndarray):
+    """CSC layout of the bordered Jacobian, built once per solve from the
+    cached Jacobian pattern: (indices, indptr, data, jac_at).  Row n, the
+    mean (mean_row), closes each column, and column n holds -1; both are
+    already in data, and a Jacobian's data go to data[jac_at]."""
+    n = grid.n_unknowns
+    jac_indices, jac_indptr, _ = ops._jacobian_pattern(grid.shape)
+    ends = jac_indptr[1:]
+    data = np.concatenate((np.insert(np.zeros(len(jac_indices)), ends, mean_row), -np.ones(n)))
+    indices = np.concatenate((np.insert(jac_indices, ends, n), np.arange(n, dtype=np.int32)))
+    indptr = np.append(jac_indptr + np.arange(n + 1, dtype=np.int32), ends[-1] + 2 * n)
+    # a column's entries move down by one border entry per column before it
+    jac_at = np.arange(len(jac_indices)) + np.repeat(np.arange(n), np.diff(jac_indptr))
+    return indices, indptr, data, jac_at
+
+
 def _newton_eps(grid: Grid, angle: AngleData, eps: float,
                 v: np.ndarray, mu_t: float, policy: NewtonPolicy):
     """Damped Newton for the split system; returns (v, mu_t, iterations)."""
@@ -116,6 +132,7 @@ def _newton_eps(grid: Grid, angle: AngleData, eps: float,
     shape = grid.shape
     # in 1-D the natural order is already a minimum-degree one
     order = "MMD_AT_PLUS_A" if grid.is_disk else "NATURAL"
+    indices, indptr, data, jac_at = _bordered_layout(grid, quad / vol)
 
     def residual(v_, mu_):
         r = ops.capillary_residual(grid, v_, angle, eps) - mu_
@@ -130,12 +147,7 @@ def _newton_eps(grid: Grid, angle: AngleData, eps: float,
     for it in range(policy.max_iter):
         if nrm <= policy.tol:
             return v, mu_t, it
-        jac = ops.capillary_jacobian(grid, v, angle, eps)
-        # border: row n, the mean, closes each column; column n holds -1
-        ends = jac.indptr[1:]
-        data = np.concatenate((np.insert(jac.data, ends, quad / vol), -np.ones(n)))
-        indices = np.concatenate((np.insert(jac.indices, ends, n), np.arange(n)))
-        indptr = np.append(jac.indptr + np.arange(n + 1), ends[-1] + 2 * n)
+        data[jac_at] = ops.capillary_jacobian(grid, v, angle, eps).data
         bordered = sp.csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
         rhs = -np.concatenate((r.ravel(), [gap]))
         try:
@@ -197,11 +209,11 @@ def solve_soliton(grid: Grid, angle: AngleData,
     v, c_eps, it = _newton_eps(grid, angle, 0.0, np.zeros(grid.shape), 0.0, policy)
     v = v - ops.field_mean(grid, v)
     u_inf = ops.ghost_fill(grid, make_field(grid, v), angle)
-    w_node = ops.node_area_element(grid, u_inf.values)
-    denom = ops.integrate_domain(grid, 1.0 / w_node)
+    terms = ops.flux_terms(grid, u_inf.values)  # read by all three below
+    denom = ops.integrate_domain(grid, 1.0 / terms.w_node)
     c_quad = -ops.integrate_boundary(grid, angle) / denom
-    c_h = ops.discrete_speed(grid, u_inf.values)
-    res = float(np.max(np.abs(ops.mcf_from_extended(grid, u_inf.values) - c_h)))
+    c_h = ops.discrete_speed(grid, terms)
+    res = float(np.max(np.abs(ops.mcf_from_extended(grid, terms) - c_h)))
     return SolitonResult(u_inf=u_inf, C_eps=float(c_eps), C_quad=float(c_quad),
                          C_h=float(c_h), residual=res, newton_iters=[it],
                          grid=grid, angle=angle)

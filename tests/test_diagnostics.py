@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_
@@ -105,6 +107,14 @@ class TestContraction:
         assert rep["pass"]
         assert rep["F_final"] < rep["F_initial"]
         assert rep["max_step_increase"] <= 1e-10
+
+    @pytest.mark.parametrize("t_final", [math.inf, math.nan, 0.0, -1.0])
+    def test_t_final_must_be_positive_and_finite(self, t_final):
+        # a run length of zero or less would still take one step and pass
+        geom, grid, angle = make_problem("interval", n_r=64, phi="const:-0.3")
+        with pytest.raises(ValueError, match="t_final must be positive and finite"):
+            contraction_test(grid, 0.0, lambda x: 0.1 * np.cos(np.pi * x), angle,
+                             StepPolicy(), t_final)
 
     def test_trace_is_timeseries(self):
         geom, grid, angle = make_problem("interval", n_r=64, phi="const:-0.1")

@@ -9,6 +9,7 @@ from mcfsolve import (AngleData, angle_from_spec, contact_normal_slope, field_me
                       flux_balance, ghost_fill, integrate_boundary,
                       integrate_domain, make_field, make_geometry, make_grid,
                       mcf_operator, node_area_element)
+from mcfsolve import operators
 from mcfsolve.operators import _roll, mcf_from_extended, semi_implicit_matrix
 from conftest import PHI_GRIM, grim_reaper_exact, make_problem
 
@@ -137,6 +138,28 @@ def test_pole_face_carries_zero_weight():
         assert grid.sigma_faces[0] == 0.0
         assert grid.nodes[0] == pytest.approx(grid.h_r / 2)
         assert grid.nodes[-1] == grid.geom.R
+
+
+def test_disk_operator_is_first_order_at_ring_0():
+    # u = a r cos(theta) is a tilted plane, so W div(grad u / W) = 0; with the
+    # pole mirror and ghost rows taken from u itself, what the operator
+    # returns is its truncation error.  Away from the pole it is second
+    # order (0.0152, 0.00396, 0.00101 of a at mid-radius for N = 20, 40,
+    # 80), but at ring 0, whose cell closes on the pole, first order (0.32,
+    # 0.162, 0.0817); a better pole closure passes too
+    a = 1e-4
+    ring0, mid = [], []
+    for n in (20, 40, 80):
+        _, grid, _ = make_problem("polar_disk", n_r=n, n_theta=n)
+        r = np.concatenate(([grid.nodes[0]], grid.nodes, [grid.geom.R + grid.h_r]))
+        ext = a * np.outer(r, np.cos(grid.theta))
+        ext[0] = -ext[0]  # ring 0 on the antipodal ray
+        err = np.abs(mcf_from_extended(grid, ext)) / a
+        ring0.append(err[0].max())
+        mid.append(err[n // 2].max())
+    assert ring0[0] < 0.4 and mid[0] < 0.02
+    assert all(e0 >= 1.8 * e1 for e0, e1 in zip(ring0, ring0[1:]))
+    assert all(e0 >= 3.5 * e1 for e0, e1 in zip(mid, mid[1:]))
 
 
 class TestGhostFill:
@@ -339,8 +362,8 @@ class TestSemiImplicitMatrix:
         ("polar_disk", "fourier:0.05,0.1,0.05"),
     ])
     def test_cached_pattern_survives_factorization(self, kind, phi):
-        # the pattern is shared by every lagged matrix of the grid; factoring
-        # one must leave it intact and canonical for the next
+        # the pattern is shared by every lagged matrix of the grid's shape;
+        # factoring one must leave it intact and canonical for the next
         geom, grid, angle = make_problem(kind, phi=phi)
         rng = np.random.default_rng(17)
         states = [ghost_fill(grid, make_field(grid, 0.3 * rng.standard_normal(grid.shape)),
@@ -349,9 +372,9 @@ class TestSemiImplicitMatrix:
         splu(semi_implicit_matrix(grid, states[0], angle, dt))
         again = semi_implicit_matrix(grid, states[1], angle, dt)
         assert again.has_sorted_indices
-        _, new_grid, _ = make_problem(kind, phi=phi)  # builds its own pattern
-        assert new_grid.lagged_pattern[0] is not grid.lagged_pattern[0]
-        fresh = semi_implicit_matrix(new_grid, states[1], angle, dt)
+        operators._lagged_pattern.cache_clear()  # the next call builds it afresh
+        fresh = semi_implicit_matrix(grid, states[1], angle, dt)
+        assert not np.shares_memory(fresh.indices, again.indices)
         assert np.array_equal(again.indices, fresh.indices)
         assert np.array_equal(again.indptr, fresh.indptr)
         assert abs(again - fresh).max() == 0.0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st_
 from scipy.sparse.linalg import splu
 
@@ -321,20 +322,57 @@ class TestJacobian:
 
     @pytest.mark.parametrize("kind,phi", [("interval", "const:-0.3"),
                                           ("polar_disk", "fourier:0.1,0.05,0.02")])
-    def test_cached_pattern_survives_factorization(self, kind, phi, monkeypatch):
-        # the pattern is shared by every Jacobian of the grid; factoring one
-        # must leave it intact and canonical for the next
+    def test_cached_pattern_survives_factorization(self, kind, phi):
+        # the pattern is shared by every Jacobian of the grid's shape;
+        # factoring one must leave it intact and canonical for the next
         geom, grid, angle = make_problem(kind, phi=phi)
         rng = np.random.default_rng(17)
         states = [0.3 * rng.standard_normal(grid.shape) for _ in range(2)]
         splu(capillary_jacobian(grid, states[0], angle, 0.05))
         again = capillary_jacobian(grid, states[1], angle, 0.05)
         assert again.has_canonical_format
-        monkeypatch.setattr(operators, "_COLOR_CACHE", {})
+        operators._jacobian_pattern.cache_clear()  # the next call builds it afresh
         fresh = capillary_jacobian(grid, states[1], angle, 0.05)
+        assert not np.shares_memory(fresh.indices, again.indices)
         assert np.array_equal(again.indices, fresh.indices)
         assert np.array_equal(again.indptr, fresh.indptr)
         assert abs(again - fresh).max() == 0.0
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("interval", {"phi": "const:-0.3"}),
+        ("radial_ball", {"R": 0.5, "curvature": {"model": "hyperbolic", "K": 1.0},
+                         "phi": "const:-0.1"}),
+        ("polar_disk", {"phi": "fourier:0.1,0.05,0.02"}),
+    ])
+    def test_grids_of_one_shape_share_patterns(self, kind, kw):
+        # each CLI solve builds a new grid; the stencils are cached per shape,
+        # so a second grid of the shape gets the first one's pattern objects
+        _, grid, angle = make_problem(kind, **kw)
+        _, other, _ = make_problem(kind, **kw)
+        assert other is not grid and other.shape == grid.shape
+        for pattern in (operators._jacobian_pattern, operators._lagged_pattern):
+            first, second = pattern(grid.shape), pattern(other.shape)
+            assert all(a is b for a, b in zip(first, second))
+        v = 0.2 * np.random.default_rng(5).standard_normal(grid.shape)
+        jac = capillary_jacobian(grid, v, angle, 0.0)
+        jac_other = capillary_jacobian(other, v, angle, 0.0)
+        # the per-solve bordered layout gives the matrix that inserting the
+        # border into each Jacobian's arrays gives, bit for bit
+        n = grid.n_unknowns
+        quad = grid.quad_row.ravel()
+        mean_row = quad / float(quad.sum())
+        ends = jac.indptr[1:]
+        inserted = sp.csc_matrix(
+            (np.concatenate((np.insert(jac.data, ends, mean_row), -np.ones(n))),
+             np.concatenate((np.insert(jac.indices, ends, n), np.arange(n))),
+             np.append(jac.indptr + np.arange(n + 1), ends[-1] + 2 * n)),
+            shape=(n + 1, n + 1))
+        indices, indptr, data, jac_at = soliton._bordered_layout(other, mean_row)
+        data[jac_at] = jac_other.data
+        laid_out = sp.csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
+        for a, b in ((laid_out.data, inserted.data), (laid_out.indices, inserted.indices),
+                     (laid_out.indptr, inserted.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_probe_groups_read_off_the_stencil(self, monkeypatch):
         # the 40 x 40 disk's stencil admits far fewer probe groups than one
