@@ -9,10 +9,9 @@ checks with closed-form radius bounds, and verification harnesses.
 
 from .geometry import CurvatureModel, Geometry, make_geometry
 from .grids import AngleData, Field, Grid, angle_from_spec, make_field, make_grid
-from .operators import (capillary_jacobian, capillary_residual,
-                        contact_normal_slope, discrete_speed, field_mean,
-                        flux_balance, ghost_fill, integrate_boundary,
-                        integrate_domain, mcf_operator, node_area_element)
+from .operators import (capillary_jacobian, capillary_residual, discrete_speed,
+                        field_mean, flux_balance, ghost_fill, integrate_boundary,
+                        integrate_domain, node_area_element)
 from .flow import (FlowHistory, FlowState, SolverError, StepPolicy, auto_dt,
                    eta_monitor, initial_state, run_until, speed_estimate, step)
 from .soliton import (NewtonPolicy, SolitonResult, solve_capillary_eps,

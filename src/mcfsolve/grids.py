@@ -178,9 +178,6 @@ class Field:
     def interior(self) -> np.ndarray:
         return self.values[1:-1]
 
-    def copy(self) -> "Field":
-        return Field(self.values.copy(), self.t)
-
 
 def make_field(grid: Grid, data: Union[float, np.ndarray, Callable, None] = 0.0,
                t: float = 0.0) -> Field:

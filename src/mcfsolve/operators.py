@@ -44,8 +44,12 @@ frozen, written directly from them: tridiagonal in 1-D, 5-point (periodic
 in theta) plus the ghost coupling of the last ring on the disk.
 
 On the disk the flux form is second order away from the pole and first
-order at ring 0, whose cell closes on the pole (see the README's design
-notes for the measured errors).
+order at ring 0, but nothing at the pole causes that.  For the tilted
+plane u = a r cos(theta) the error on every ring is the truncation of the
+angular second difference, a |4 sin^2(h_theta/2)/h_theta^2 - 1|/sigma,
+about a h_theta^2/(12 sigma); it is first order at ring 0 only because
+sigma_0 = h_r/2 there (see the README's design notes for the measured
+errors).
 
 Each quantity of the flux form is computed in one place.  flux_terms
 gives the centered slopes and W at the nodes and the face slopes and
@@ -70,7 +74,6 @@ from .grids import AngleData, Field, Grid, _slope_closed_form
 
 __all__ = [
     "ghost_fill",
-    "mcf_operator",
     "integrate_domain",
     "integrate_boundary",
     "field_mean",
@@ -78,7 +81,6 @@ __all__ = [
     "discrete_speed",
     "capillary_residual",
     "capillary_jacobian",
-    "contact_normal_slope",
     "node_area_element",
     "FluxTerms",
     "flux_terms",
@@ -86,17 +88,6 @@ __all__ = [
 ]
 
 _CSTEP = 1e-50
-
-
-def contact_normal_slope(phi, tangential_sq=0.0):
-    """Closed-form solution p of p = phi*sqrt(1 + p^2 + T) for |phi| < 1:
-    the inward normal derivative matching contact angle phi when the
-    squared tangential slope is T."""
-    phi = np.asarray(phi, dtype=float)
-    if np.any(np.abs(phi) >= 1.0):
-        raise ValueError("ill-posed contact angle: |phi| must be below 1")
-    out = _slope_closed_form(phi, tangential_sq)
-    return out if out.ndim else float(out)
 
 
 def _roll(a: np.ndarray, shift: int) -> np.ndarray:
@@ -213,15 +204,6 @@ def mcf_from_extended(grid: Grid, ext) -> np.ndarray:
     terms = _terms(grid, ext)
     _, net = _flux_differences(grid, terms)
     return terms.w_node * (net / grid.cell_weights)
-
-
-def mcf_operator(grid: Grid, field: Field) -> Field:
-    """Apply W * div(grad u / W) to a ghost-closed field."""
-    if not np.all(np.isfinite(field.values)):
-        raise ValueError("mcf_operator needs finite, ghost-closed values")
-    out = np.full(grid.ext_shape, np.nan)
-    out[1:-1] = mcf_from_extended(grid, field.values)
-    return Field(out, field.t)
 
 
 def node_area_element(grid: Grid, ext: np.ndarray) -> np.ndarray:

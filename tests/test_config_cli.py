@@ -219,6 +219,22 @@ class TestCli:
         assert "--tol must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_study_outputs(self, tmp_path):
+        out = tmp_path / "study"
+        assert cli_main(["study", "--config", "grim_reaper", "--levels", "3",
+                         "--out", str(out)]) == 0
+        lines = (out / "study.csv").read_text().splitlines()
+        assert lines[0] == "level,h_r,C_quad,C_error,u_error"
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2]
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["c_orders"]) == 2 and len(report["u_orders"]) == 2
+
+    def test_study_too_few_levels_exits_1(self, tmp_path, capsys):
+        assert cli_main(["study", "--config", "grim_reaper", "--levels", "2",
+                         "--out", str(tmp_path / "x")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_error_exit_code(self, tmp_path):
         assert cli_main(["soliton", "--config", str(tmp_path / "missing.json"),
                          "--out", str(tmp_path / "x")]) == 1

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st_
 from mcfsolve import (Field, StepPolicy, angle_from_spec, auto_dt, contraction_test,
                       initial_state, make_geometry, make_grid, refinement_study,
                       run_to_stationarity, solve_soliton, verify_convergence)
+from mcfsolve import diagnostics
 from mcfsolve.flow import _window_start
 from conftest import PHI_GRIM, make_problem
 
@@ -209,3 +210,20 @@ class TestRefinementStudy:
     def test_min_levels(self):
         with pytest.raises(ValueError):
             refinement_study({"preset": "grim_reaper"}, 2)
+
+    @pytest.mark.parametrize("cfg", [
+        {"preset": "grim_reaper", "solver": {"N_r": 50}},
+        {"geometry": {"kind": "polar_disk", "R": 1.0}, "angle": {"phi": "fourier:0.1,0.05,0.0"},
+         "solver": {"N_r": 16, "N_theta": 16}},
+    ])
+    def test_runs_no_flow(self, monkeypatch, cfg):
+        # the study measures the translator's discretization; it has no use
+        # for a flow from it
+        def never(*args, **kwargs):
+            pytest.fail("the refinement study ran a flow")
+
+        monkeypatch.setattr(diagnostics, "initial_state", never)
+        monkeypatch.setattr(diagnostics, "run_until", never)
+        table = refinement_study(cfg, 3)
+        assert all(o >= 1.9 for o in table["c_orders"] + table["u_orders"])
+        assert all("drift_t1" not in row for row in table["rows"])

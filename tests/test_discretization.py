@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st_
 from scipy.sparse.linalg import splu
 
-from mcfsolve import (AngleData, angle_from_spec, contact_normal_slope, field_mean,
-                      flux_balance, ghost_fill, integrate_boundary,
-                      integrate_domain, make_field, make_geometry, make_grid,
-                      mcf_operator, node_area_element)
-from mcfsolve import operators
+from mcfsolve import (AngleData, angle_from_spec, field_mean, flux_balance,
+                      ghost_fill, integrate_boundary, integrate_domain, make_field,
+                      make_geometry, make_grid, node_area_element)
+from mcfsolve import grids, operators
 from mcfsolve.operators import _roll, mcf_from_extended, semi_implicit_matrix
 from conftest import PHI_GRIM, grim_reaper_exact, make_problem
 
@@ -69,23 +68,23 @@ class TestMcfOperator:
         for kind in ("interval", "radial_ball", "polar_disk"):
             geom, grid, angle = make_problem(kind, phi="const:0.0")
             f = ghost_fill(grid, make_field(grid, 1.7), angle)
-            out = mcf_operator(grid, f)
-            assert np.all(out.interior == 0.0)
+            out = mcf_from_extended(grid, f.values)
+            assert np.all(out == 0.0)
 
     def test_grim_reaper_residual(self):
         # translator profile: W div(grad u / W) equals the speed 0.5
         grid, angle = grim_grid(400)  # h_r = 1/200
         f = ghost_fill(grid, make_field(grid, grim_reaper_exact), angle)
-        out = mcf_operator(grid, f)
-        assert np.max(np.abs(out.interior - 0.5)) <= 1e-3
+        out = mcf_from_extended(grid, f.values)
+        assert np.max(np.abs(out - 0.5)) <= 1e-3
 
     def test_second_order_away_from_boundary(self):
         errs = []
         for n in (200, 400):
             grid, angle = grim_grid(n)
             f = ghost_fill(grid, make_field(grid, grim_reaper_exact), angle)
-            out = mcf_operator(grid, f)
-            errs.append(np.max(np.abs(out.interior[1:-1] - 0.5)))
+            out = mcf_from_extended(grid, f.values)
+            errs.append(np.max(np.abs(out[1:-1] - 0.5)))
         assert errs[0] / errs[1] >= 3.5
 
     def test_polar_disk_paraboloid(self):
@@ -97,14 +96,14 @@ class TestMcfOperator:
                                              phi="const:0.0")
             f = ghost_fill(grid, make_field(grid, lambda r, t: 0.5 * r ** 2), angle)
             # interior rings only: the closure changes the boundary-ring flux
-            out = mcf_operator(grid, f).interior[:-1]
+            out = mcf_from_extended(grid, f.values)[:-1]
             err = np.abs(out - exact(grid.nodes[:-1])[:, None])
             errs.append(np.max(err))
         assert errs[0] / errs[1] >= 3.5
         rng = np.random.default_rng(7)
         geom, grid, angle = make_problem("polar_disk", n_r=48, n_theta=32, phi="const:0.0")
         f = ghost_fill(grid, make_field(grid, lambda r, t: 0.5 * r ** 2), angle)
-        out = mcf_operator(grid, f).interior
+        out = mcf_from_extended(grid, f.values)
         for _ in range(10):
             i = rng.integers(0, grid.n_nodes - 1)
             j = rng.integers(0, grid.n_theta)
@@ -115,14 +114,8 @@ class TestMcfOperator:
         angle = angle_from_spec(grid, "const:-0.3")
         u = np.cos(2.0 * grid.nodes) + 0.1 * grid.nodes ** 4
         f = ghost_fill(grid, make_field(grid, u), angle)
-        out = mcf_operator(grid, f).interior
+        out = mcf_from_extended(grid, f.values)
         assert np.array_equal(out, out[::-1])
-
-    def test_rejects_unfilled_ghosts(self):
-        grid, angle = grim_grid(32)
-        f = make_field(grid, 0.0)  # ghosts are NaN until closed
-        with pytest.raises(ValueError):
-            mcf_operator(grid, f)
 
     def test_w_at_least_one(self):
         rng = np.random.default_rng(3)
@@ -143,10 +136,11 @@ def test_pole_face_carries_zero_weight():
 def test_disk_operator_is_first_order_at_ring_0():
     # u = a r cos(theta) is a tilted plane, so W div(grad u / W) = 0; with the
     # pole mirror and ghost rows taken from u itself, what the operator
-    # returns is its truncation error.  Away from the pole it is second
-    # order (0.0152, 0.00396, 0.00101 of a at mid-radius for N = 20, 40,
-    # 80), but at ring 0, whose cell closes on the pole, first order (0.32,
-    # 0.162, 0.0817); a better pole closure passes too
+    # returns is its truncation error.  On every ring that is the angular
+    # second difference's, a |4 sin^2(h_theta/2)/h_theta^2 - 1|/sigma: second
+    # order at mid-radius (0.0152, 0.00396, 0.00101 of a for N = 20, 40, 80),
+    # first order at ring 0 (0.3197, 0.1623, 0.0817) only because
+    # sigma_0 = h_r/2; nothing at the pole adds to it
     a = 1e-4
     ring0, mid = [], []
     for n in (20, 40, 80):
@@ -172,16 +166,17 @@ class TestGhostFill:
         assert v[0] == v[2] and v[-1] == v[-3]
 
     def test_closed_form_1d(self):
-        assert contact_normal_slope(-math.sin(0.5)) == pytest.approx(-math.tan(0.5), abs=1e-12)
+        p = AngleData(phi=np.array([-math.sin(0.5)])).normal_slope
+        assert p[0] == pytest.approx(-math.tan(0.5), abs=1e-12)
 
     def test_closed_form_tangential(self):
-        assert contact_normal_slope(0.5, 3.0) == pytest.approx(0.5 * math.sqrt(4.0 / 0.75),
-                                                               abs=1e-12)
-        assert contact_normal_slope(0.5, 3.0) == pytest.approx(1.154701, abs=1e-6)
+        p = grids._slope_closed_form(0.5, 3.0)
+        assert p == pytest.approx(0.5 * math.sqrt(4.0 / 0.75), abs=1e-12)
+        assert p == pytest.approx(1.154701, abs=1e-6)
 
     def test_ill_posed_angle(self):
         with pytest.raises(ValueError):
-            contact_normal_slope(1.0)
+            AngleData(phi=np.array([1.0]))
 
     def test_angle_data_checks_every_entry(self):
         # the ghost closure relies on AngleData for |phi| < 1, so no entry
