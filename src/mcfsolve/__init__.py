@@ -22,6 +22,7 @@ from .existence import (HypothesisReport, check_existence,
 from .diagnostics import (ConvergenceReport, catalog_cases, contraction_test,
                           refinement_study, run_to_stationarity,
                           verify_convergence)
-from .config import ConfigError, RunConfig, build_problem, emit_outputs, parse_config
+from .config import (ConfigError, RunConfig, build_problem, emit_outputs, field_table,
+                     parse_config)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import math
 import sys
 
 from . import diagnostics, existence, flow, soliton
-from .config import ConfigError, build_problem, emit_outputs, parse_config
+from .config import ConfigError, build_problem, emit_outputs, field_table, parse_config
 from .flow import SolverError
 
 
@@ -26,11 +26,8 @@ def cmd_soliton(cfg, args) -> int:
     result = soliton.solve_soliton(grid, angle, cfg.newton_policy())
     report = soliton.verify_compatibility(result)
     report["newton_iterations"] = result.newton_iters
-    emit_outputs(args.out, {
-        "resolved_config.json": ("json", cfg.resolved()),
-        "u_inf.csv": ("field", grid, result.u_inf),
-        "report.json": ("json", report),
-    })
+    emit_outputs(args.out, cfg, {"u_inf.csv": field_table(grid, result.u_inf.interior),
+                                 "report.json": report})
     print(f"soliton: C_eps={result.C_eps:.6f} C_quad={result.C_quad:.6f} C_h={result.C_h:.6f} "
           f"residual={result.residual:.3e} -> {args.out}")
     return 0
@@ -42,14 +39,10 @@ def cmd_flow(cfg, args) -> int:
     state = flow.initial_state(grid, angle)
     flow.run_until(state, policy, angle, t_end=args.t_end,
                    snapshot_interval=args.snapshot_interval)
-    artifacts = {
-        "resolved_config.json": ("json", cfg.resolved()),
-        "history.csv": ("csv", ("t", "max_W", "osc", "speed", "max_Weta"),
-                        state.history.rows()),
-    }
+    files = {"history.csv": (("t", "max_W", "osc", "speed", "max_Weta"), state.history.rows())}
     for t, snap in state.snapshots:
-        artifacts[f"u_t{t:g}.csv"] = ("field", grid, snap)
-    emit_outputs(args.out, artifacts)
+        files[f"u_t{t:g}.csv"] = field_table(grid, snap)
+    emit_outputs(args.out, cfg, files)
     print(f"flow: t={state.t:g} osc={state.history.osc_u[-1]:.3e} "
           f"speed={state.history.speed[-1]:.6f} -> {args.out}")
     return 0
@@ -58,10 +51,7 @@ def cmd_flow(cfg, args) -> int:
 def cmd_check(cfg, args) -> int:
     geom, grid, angle = build_problem(cfg)
     report = existence.check_existence(geom, angle)
-    emit_outputs(args.out, {
-        "resolved_config.json": ("json", cfg.resolved()),
-        "report.json": ("json", report.to_dict()),
-    })
+    emit_outputs(args.out, cfg, {"report.json": report.to_dict()})
     verdict = "pass" if report.overall else "fail"
     print(f"check: {verdict} (eps0={report.eps0:.6f}, phi0={report.phi0:.6f})")
     return 0 if report.overall else 2
@@ -78,12 +68,9 @@ def cmd_verify(cfg, args) -> int:
     payload = report.to_dict()
     payload.update({"t_stationary": t_stat, "t_final": state.t,
                     "C_eps": sol.C_eps, "C_quad": sol.C_quad, "C_h": sol.C_h})
-    emit_outputs(args.out, {
-        "resolved_config.json": ("json", cfg.resolved()),
-        "report.json": ("json", payload),
-        "osc_trace.csv": ("csv", ("t", "osc_u_minus_uinf"), report.osc_trace),
-        "w_envelope.csv": ("csv", ("t", "max_W"), report.w_envelope),
-    })
+    emit_outputs(args.out, cfg, {"report.json": payload,
+                                 "osc_trace.csv": (("t", "osc_u_minus_uinf"), report.osc_trace),
+                                 "w_envelope.csv": (("t", "max_W"), report.w_envelope)})
     print(f"verify: {'pass' if report.passed else 'fail'} "
           + " ".join(f"{k}={v[0]:.3e}" for k, v in report.checks.items()))
     return 0 if report.passed else 2
@@ -93,11 +80,9 @@ def cmd_study(cfg, args) -> int:
     table = diagnostics.refinement_study(cfg, levels=args.levels)
     rows = [(r["level"], r["h_r"], r["C_quad"], r["C_error"], r["u_error"])
             for r in table["rows"]]
-    emit_outputs(args.out, {
-        "resolved_config.json": ("json", cfg.resolved()),
-        "study.csv": ("csv", ("level", "h_r", "C_quad", "C_error", "u_error"), rows),
-        "report.json": ("json", {"c_orders": table["c_orders"],
-                                 "u_orders": table["u_orders"]}),
+    emit_outputs(args.out, cfg, {
+        "study.csv": (("level", "h_r", "C_quad", "C_error", "u_error"), rows),
+        "report.json": {"c_orders": table["c_orders"], "u_orders": table["u_orders"]},
     })
     print(f"study: C orders {['%.2f' % o for o in table['c_orders']]} "
           f"u orders {['%.2f' % o for o in table['u_orders']]}")

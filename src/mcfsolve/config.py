@@ -18,9 +18,11 @@ rejected here; the boundary closure degenerates as |phi| -> 1.
 ``RunConfig.solver`` is this block with every default filled in (those of
 StepPolicy and NewtonPolicy where they have one) and every value checked.
 
-Outputs are deterministic: floats are written with their shortest
-round-trip decimal (Python repr), so identical inputs give byte-identical
-files.
+``emit_outputs`` writes a run's files: ``resolved_config.json`` and each
+named file, JSON with sorted keys or, for a ``.csv`` name, a table whose
+floats take their shortest round-trip decimal (Python repr) and integers
+stay integers; ``field_table`` lays a field out ring by ring on the disk.
+Identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ import numpy as np
 
 from .flow import StepPolicy
 from .geometry import config_number, make_geometry
-from .grids import Field, Grid, angle_from_spec, angle_values, make_grid
+from .grids import Grid, angle_from_spec, angle_values, make_grid
 from .soliton import NewtonPolicy
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "build_problem", "emit_outputs",
-           "PRESETS"]
+           "field_table", "PRESETS"]
 
 PHI_LIMIT = 0.95
 
@@ -210,6 +212,8 @@ def _pyify(obj):
         return {k: _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_pyify(v) for v in obj]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
@@ -219,56 +223,40 @@ def _pyify(obj):
     return obj
 
 
-def _fmt(x) -> str:
-    x = float(x)
-    return repr(x)
-
-
-def write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_pyify(obj), indent=2, sort_keys=True) + "\n")
-
-
-def write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def field_rows(grid: Grid, field_or_values):
-    values = field_or_values.interior if isinstance(field_or_values, Field) else np.asarray(field_or_values)
+def field_table(grid: Grid, values) -> tuple:
+    """(header, rows) of an interior array: one (coordinate..., value) row
+    per node, ring by ring on the disk."""
+    nodes, values = grid.nodes.tolist(), np.asarray(values).tolist()
     if grid.is_disk:
-        header = ("r", "theta", "value")
-        rows = [(grid.nodes[i], grid.theta[j], values[i, j])
-                for i in range(grid.n_nodes) for j in range(grid.n_theta)]
-    else:
-        coord = "x" if grid.geom.kind == "interval" else "r"
-        header = (coord, "value")
-        rows = list(zip(grid.nodes, values))
-    return header, rows
+        theta = grid.theta.tolist()
+        return ("r", "theta", "value"), [(r, th, v) for r, ring in zip(nodes, values)
+                                         for th, v in zip(theta, ring)]
+    return ("x" if grid.geom.kind == "interval" else "r", "value"), list(zip(nodes, values))
 
 
-def emit_outputs(out_dir: Union[str, Path], artifacts: dict) -> list:
-    """Write a deterministic file set.  Artifact values are
-    ("json", obj), ("csv", header, rows), or ("field", grid, field)."""
+def emit_outputs(out_dir: Union[str, Path], cfg: RunConfig, files: dict) -> list:
+    """Write resolved_config.json (``cfg.resolved()``), then each entry of
+    files, into out_dir and return the paths written.  A ``.csv`` name takes
+    a (header, rows) table, any other name a JSON-able object."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     written = []
-    for name, art in artifacts.items():
+    for name, data in {"resolved_config.json": cfg.resolved(), **files}.items():
         path = out / name
+        if name.endswith(".csv"):
+            header, rows = data
+            lines = [",".join(header)]
+            # a plain float, as every field_table cell is, skips _pyify's checks
+            lines += [",".join([repr(v if type(v) is float else _pyify(v)) for v in row])
+                      for row in rows]
+            text = "\n".join(lines) + "\n"
+        else:
+            text = json.dumps(_pyify(data), indent=2, sort_keys=True) + "\n"
         try:
-            if art[0] == "json":
-                write_json(path, art[1])
-            elif art[0] == "csv":
-                write_csv(path, art[1], art[2])
-            elif art[0] == "field":
-                header, rows = field_rows(art[1], art[2])
-                write_csv(path, header, rows)
-            else:
-                raise ValueError(f"unknown artifact kind {art[0]!r}")
+            path.write_text(text)
         except OSError as exc:
             raise ConfigError(f"failed writing {path}: {exc}") from exc
         written.append(path)

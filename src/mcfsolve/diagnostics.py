@@ -39,11 +39,9 @@ class ConvergenceReport:
     passed: bool
 
     def to_dict(self):
-        return {
-            "checks": {k: {"value": float(v[0]), "tol": float(v[1]), "pass": bool(v[2])}
-                       for k, v in self.checks.items()},
-            "pass": bool(self.passed),
-        }
+        return {"checks": {k: {"value": v[0], "tol": v[1], "pass": v[2]}
+                           for k, v in self.checks.items()},
+                "pass": self.passed}
 
 
 def _grids_match(a: Grid, b: Grid) -> bool:

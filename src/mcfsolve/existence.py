@@ -69,8 +69,7 @@ class Condition:
     note: str = ""
 
     def to_dict(self):
-        d = {"name": self.name, "lhs": float(self.lhs), "rhs": float(self.rhs),
-             "pass": bool(self.passed)}
+        d = {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "pass": self.passed}
         if self.note:
             d["note"] = self.note
         return d
@@ -93,16 +92,7 @@ class HypothesisReport:
     overall: bool
 
     def to_dict(self):
-        return {
-            "k1": float(self.k1), "kappa0": float(self.kappa0), "M1": float(self.M1),
-            "ricci_abs": float(self.ricci_abs), "ric_eff": float(self.ric_eff),
-            "alpha_star": float(self.alpha_star), "eps_alpha": float(self.eps_alpha),
-            "eps0": float(self.eps0), "phi0": float(self.phi0),
-            "theta_c1": float(self.theta_c1),
-            "conditions": [c.to_dict() for c in self.conditions],
-            "radius_bound": None if self.radius_bound is None else float(self.radius_bound),
-            "overall": bool(self.overall),
-        }
+        return {**vars(self), "conditions": [c.to_dict() for c in self.conditions]}
 
 
 def effective_ricci_constant(geom: Geometry) -> float:

@@ -124,14 +124,6 @@ class FlowHistory:
     speed: List[float] = dc_field(default_factory=list)
     max_weta: List[float] = dc_field(default_factory=list)
 
-    def append(self, t, mean_u, max_w, osc_u, speed, max_weta):
-        self.t.append(float(t))
-        self.mean_u.append(float(mean_u))
-        self.max_w.append(float(max_w))
-        self.osc_u.append(float(osc_u))
-        self.speed.append(float(speed))
-        self.max_weta.append(float(max_weta))
-
     def rows(self):
         """(t, max_W, osc_u, speed, max_Weta) tuples."""
         return list(zip(self.t, self.max_w, self.osc_u, self.speed, self.max_weta))

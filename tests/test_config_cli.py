@@ -3,10 +3,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcfsolve import ConfigError, RunConfig, build_problem, emit_outputs, parse_config, soliton
+from mcfsolve import (ConfigError, RunConfig, build_problem, emit_outputs, field_table,
+                      parse_config, soliton)
 from mcfsolve.cli import main as cli_main
 
 
@@ -131,7 +133,7 @@ class TestParseConfig:
 
     def test_round_trip_through_file(self, tmp_path):
         cfg = parse_config({"preset": "grim_reaper", "solver": {"N_r": 64}})
-        emit_outputs(tmp_path, {"resolved_config.json": ("json", cfg.resolved())})
+        emit_outputs(tmp_path, cfg, {})
         again = parse_config(tmp_path / "resolved_config.json")
         assert again.resolved() == cfg.resolved()
 
@@ -143,18 +145,70 @@ class TestParseConfig:
 
 class TestEmitOutputs:
     def test_deterministic_bytes(self, tmp_path):
-        payload = {"report.json": ("json", {"a": 1 / 3, "b": [1.0, 2.0]}),
-                   "t.csv": ("csv", ("x", "y"), [(0.1, 0.2), (0.3, 0.4)])}
-        emit_outputs(tmp_path / "one", payload)
-        emit_outputs(tmp_path / "two", payload)
-        for name in payload:
+        cfg = parse_config(MINIMAL)
+        payload = {"report.json": {"a": 1 / 3, "b": [1.0, 2.0]},
+                   "t.csv": (("x", "y"), [(0.1, 0.2), (0.3, 0.4)])}
+        emit_outputs(tmp_path / "one", cfg, payload)
+        emit_outputs(tmp_path / "two", cfg, payload)
+        for name in ["resolved_config.json", *payload]:
             a = (tmp_path / "one" / name).read_bytes()
             b = (tmp_path / "two" / name).read_bytes()
             assert a == b
 
     def test_shortest_round_trip_floats(self, tmp_path):
-        emit_outputs(tmp_path, {"v.csv": ("csv", ("x",), [(0.1,)])})
+        emit_outputs(tmp_path, parse_config(MINIMAL), {"v.csv": (("x",), [(0.1,)])})
         assert (tmp_path / "v.csv").read_text() == "x\n0.1\n"
+
+    def test_integers_stay_integers(self, tmp_path):
+        rows = [(0, 0.5), (np.int64(1), np.float64(0.25)), (2, 1.0)]
+        emit_outputs(tmp_path, parse_config(MINIMAL), {"v.csv": (("level", "h"), rows)})
+        assert (tmp_path / "v.csv").read_text() == "level,h\n0,0.5\n1,0.25\n2,1.0\n"
+
+    def test_returns_config_then_each_file(self, tmp_path):
+        cfg = parse_config({"preset": "grim_reaper", "solver": {"N_r": 64}})
+        written = emit_outputs(tmp_path / "out", cfg, {"a.csv": (("x",), [(1.0,)]),
+                                                       "b.json": {"k": 1}})
+        out = tmp_path / "out"
+        assert written == [out / "resolved_config.json", out / "a.csv", out / "b.json"]
+        assert json.loads((out / "resolved_config.json").read_text()) == cfg.resolved()
+
+    def test_numpy_scalars_write_plain_json(self, tmp_path):
+        report = {"value": np.float64(0.1), "pass": np.bool_(True), "fail": np.bool_(False),
+                  "count": np.int64(3), "trace": np.array([0.5, 1.5])}
+        emit_outputs(tmp_path, parse_config(MINIMAL), {"report.json": report})
+        text = (tmp_path / "report.json").read_text()
+        assert json.loads(text) == {"value": 0.1, "pass": True, "fail": False, "count": 3,
+                                    "trace": [0.5, 1.5]}
+        assert '"pass": true' in text and text.endswith("}\n")
+
+
+class TestFieldTable:
+    def test_disk_rows_ring_by_ring(self, tmp_path):
+        cfg = parse_config({"geometry": {"kind": "polar_disk", "R": 1.0},
+                            "solver": {"N_r": 8, "N_theta": 8}})
+        geom, grid, angle = build_problem(cfg)
+        values = np.random.default_rng(3).standard_normal(grid.shape)
+        header, rows = field_table(grid, values)
+        assert header == ("r", "theta", "value")
+        assert len(rows) == grid.n_nodes * grid.n_theta
+        n = grid.n_theta
+        for k, row in enumerate(rows):
+            assert row == (grid.nodes[k // n], grid.theta[k % n], values[k // n, k % n])
+        emit_outputs(tmp_path, cfg, {"u.csv": (header, rows)})
+        lines = (tmp_path / "u.csv").read_text().splitlines()
+        assert lines[0] == "r,theta,value"
+        assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
+
+    @pytest.mark.parametrize("geometry,coord", [
+        ({"kind": "radial_ball", "n": 3, "R": 1.0}, "r"),
+        ({"kind": "interval", "a": -1.0, "b": 1.0}, "x"),
+    ])
+    def test_radial_headers(self, geometry, coord):
+        geom, grid, angle = build_problem({"geometry": geometry, "solver": {"N_r": 8}})
+        values = np.linspace(0.0, 1.0, grid.n_nodes)
+        header, rows = field_table(grid, values)
+        assert header == (coord, "value")
+        assert rows == list(zip(grid.nodes, values))
 
 
 class TestCli:
@@ -226,8 +280,26 @@ class TestCli:
         lines = (out / "study.csv").read_text().splitlines()
         assert lines[0] == "level,h_r,C_quad,C_error,u_error"
         assert [float(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2]
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
         report = json.loads((out / "report.json").read_text())
         assert len(report["c_orders"]) == 2 and len(report["u_orders"]) == 2
+
+    @pytest.mark.parametrize("sub,geometry,options", [
+        ("soliton", MINIMAL["geometry"], []),
+        ("flow", MINIMAL["geometry"], ["--t-end", "0.5"]),
+        ("check", {"kind": "radial_ball", "n": 2, "R": 0.3,
+                   "curvature": {"model": "hyperbolic", "K": 1.0}}, []),
+        ("verify", MINIMAL["geometry"], []),
+        ("study", MINIMAL["geometry"], ["--levels", "3"]),
+    ])
+    def test_every_subcommand_writes_resolved_config(self, tmp_path, sub, geometry, options):
+        cfg = {"geometry": geometry, "angle": {"phi": "const:-0.05"}, "solver": {"N_r": 16}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / sub
+        assert cli_main([sub, "--config", str(path), *options, "--out", str(out)]) == 0
+        assert json.loads((out / "resolved_config.json").read_text()) == \
+            parse_config(cfg).resolved()
 
     def test_study_too_few_levels_exits_1(self, tmp_path, capsys):
         assert cli_main(["study", "--config", "grim_reaper", "--levels", "2",

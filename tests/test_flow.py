@@ -431,7 +431,9 @@ class TestHistoryRow:
             assert row[:4] == want[:4] and row[5] == want[5], k
             assert row[4] == want[4] or (np.isnan(row[4]) and np.isnan(want[4])), k
             assert all(type(v) is float for v in row), k
-            earlier.append(*row)
+            for column, v in zip((earlier.t, earlier.mean_u, earlier.max_w, earlier.osc_u,
+                                  earlier.speed, earlier.max_weta), row):
+                column.append(v)
         speeds = np.asarray(hist.speed)
         assert np.isnan(speeds[0]) and np.isfinite(speeds[-1])
 
@@ -474,9 +476,10 @@ class TestSpeedEstimate:
         assert _window_start(t, target) == expected
 
     def test_speed_estimate_window_on_snapshot_steps(self):
-        hist = FlowHistory()
-        for t in (0.0, 0.3, 0.5, 0.8, 1.0, 1.3, 1.5):  # 0.5, 1.0, 1.5: shortened steps
-            hist.append(t, 2.0 * t, 1.0, 0.0, 0.0, 1.0)
+        t = [0.0, 0.3, 0.5, 0.8, 1.0, 1.3, 1.5]  # 0.5, 1.0, 1.5: shortened steps
+        ones, zeros = [1.0] * len(t), [0.0] * len(t)
+        hist = FlowHistory(t=t, mean_u=[2.0 * v for v in t], max_w=ones, osc_u=zeros,
+                           speed=zeros, max_weta=ones)
         assert speed_estimate(hist, 1.0) == pytest.approx(2.0, rel=1e-14)
         assert speed_estimate(hist, 1.5) == pytest.approx(2.0, rel=1e-14)
         with pytest.raises(ValueError):
