@@ -20,9 +20,10 @@ StepPolicy and NewtonPolicy where they have one) and every value checked.
 
 ``emit_outputs`` writes a run's files: ``resolved_config.json`` and each
 named file, JSON with sorted keys or, for a ``.csv`` name, a table whose
-floats take their shortest round-trip decimal (Python repr) and integers
-stay integers; ``field_table`` lays a field out ring by ring on the disk.
-Identical inputs give byte-identical files.
+floats take their shortest round-trip decimal (Python repr), integers
+stay integers and text cells are written as they are; ``field_table`` lays
+a field out ring by ring on the disk, with each coordinate's text formatted
+once.  Identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -225,10 +226,12 @@ def _pyify(obj):
 
 def field_table(grid: Grid, values) -> tuple:
     """(header, rows) of an interior array: one (coordinate..., value) row
-    per node, ring by ring on the disk."""
-    nodes, values = grid.nodes.tolist(), np.asarray(values).tolist()
+    per node, ring by ring on the disk.  Each coordinate is a str, its
+    shortest round-trip text, formatted once per distinct radius and ray
+    angle; the values stay floats."""
+    nodes, values = [repr(x) for x in grid.nodes.tolist()], np.asarray(values).tolist()
     if grid.is_disk:
-        theta = grid.theta.tolist()
+        theta = [repr(th) for th in grid.theta.tolist()]
         return ("r", "theta", "value"), [(r, th, v) for r, ring in zip(nodes, values)
                                          for th, v in zip(theta, ring)]
     return ("x" if grid.geom.kind == "interval" else "r", "value"), list(zip(nodes, values))
@@ -237,7 +240,8 @@ def field_table(grid: Grid, values) -> tuple:
 def emit_outputs(out_dir: Union[str, Path], cfg: RunConfig, files: dict) -> list:
     """Write resolved_config.json (``cfg.resolved()``), then each entry of
     files, into out_dir and return the paths written.  A ``.csv`` name takes
-    a (header, rows) table, any other name a JSON-able object."""
+    a (header, rows) table, whose str cells are written as they are, any
+    other name a JSON-able object."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -249,9 +253,9 @@ def emit_outputs(out_dir: Union[str, Path], cfg: RunConfig, files: dict) -> list
         if name.endswith(".csv"):
             header, rows = data
             lines = [",".join(header)]
-            # a plain float, as every field_table cell is, skips _pyify's checks
-            lines += [",".join([repr(v if type(v) is float else _pyify(v)) for v in row])
-                      for row in rows]
+            # a plain float, as every field_table value is, skips _pyify's checks
+            lines += [",".join([repr(v) if type(v) is float else v if type(v) is str
+                                else repr(_pyify(v)) for v in row]) for row in rows]
             text = "\n".join(lines) + "\n"
         else:
             text = json.dumps(_pyify(data), indent=2, sort_keys=True) + "\n"

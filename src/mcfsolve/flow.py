@@ -17,9 +17,9 @@ Two schemes:
 The lagged LU is reused along the flow.  M reads u only through the
 factors W, W_f and (disk) W_t, and slopes do not see the shift by C t, so
 as the flow converges to the translator the matrix settles.  A step keeps
-its last factorization on the FlowState and reuses it while dt is
-unchanged and each factor is within ``_REFACTOR_TOL`` = 1e-3 of the
-values it was factored at, in max norm; otherwise it assembles and
+its factorization on the FlowState and reuses it while dt is the one it
+was factored with and each factor is within ``_REFACTOR_TOL`` = 1e-3 of
+the values it was factored at, in max norm; otherwise it assembles and
 factors I - dt*M afresh.  The factors share their trailing shape, so the
 state keeps them stacked in one array, and the test is one max over the
 stack: it is at most the tolerance exactly when each factor's max is.
@@ -30,9 +30,12 @@ node) still moves u by exactly C_h dt.  A matrix close to the current one
 changes only how the transient decays; one frozen far from it, at rough
 data, can make the step unstable, so the tolerance is fixed and small.
 Since W >= 1, the absolute tolerance is also a relative one: each lagged
-weight moves by at most about 2e-3.  A step shortened to land on t_end or
-a snapshot has another dt, so it factors afresh, and so does the full
-step after it.
+weight moves by at most about 2e-3.  The state keeps the LUs of the last
+two step sizes, so a step shortened to land on t_end or a snapshot factors
+its own LU (or reuses the one of an earlier shortened step of the same dt)
+and leaves the full-dt LU for the full step after it, which reuses it
+under the same test; a run that changes dt for good keeps the LU of its
+new dt.
 
 Each step appends one history row: t; the mean of u (the quadrature of
 operators.integrate_domain over the domain's volume); max W; osc, the max
@@ -52,14 +55,18 @@ distance terms (``Grid.distance_terms``), the monitor's S d + 1
 (``Grid.monitor_base``) and the quadrature total (``Grid.quad_total``);
 per grid and angle, the extension of phi times the distance derivative,
 phi d' (``AngleData.monitor_tilt``); per angle, the 1-D ghost closure's
-normal slope (``AngleData.normal_slope``).  The step scans its new
-interior once, for its max and min: both are finite exactly when every
-entry is, so a non-finite one raises a SolverError, and their difference
-is the row's osc.  It then attaches the ghosts with ops.extend_values in
-one pass, as ops.ghost_fill would after its own finiteness check.
+normal slope (``AngleData.normal_slope``).
 
-A step reads one flux record per field (``FlowState.terms``, an
-operators.FluxTerms): the record of the new field gives max W and the
+A step allocates the new ghost-closed array once and writes the updated
+interior straight into it.  It scans that interior once, for its max and
+min: both are finite exactly when every entry is, so a non-finite one
+raises a SolverError and leaves the state as it was, and their difference
+is the row's osc.  It then sets the ghosts in place with
+ops.close_ghosts, the closure of ops.extend_values and ops.ghost_fill.
+The update and the history row run under one np.errstate, which silences
+the warnings of a blow-up the step reports itself.  Each field comes with
+one flux record (``FlowState.terms``, an operators.FluxTerms, set together
+with ``FlowState.field``): the record of the new field gives max W and the
 monitor of its history row, and the next step's right-hand side and lagged
 matrix, so the slopes and area elements are computed once per step.
 """
@@ -136,25 +143,17 @@ class FlowHistory:
 class FlowState:
     grid: Grid
     field: Field
+    # the flux record of field (operators.flux_terms), set together with it
+    terms: ops.FluxTerms = dc_field(repr=False, compare=False)
     history: FlowHistory
     snapshots: List[Tuple[float, np.ndarray]] = dc_field(default_factory=list)
-    _terms: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
-    # the last lagged LU, its dt and the stacked W factors it was factored at
-    _lagged: tuple = dc_field(default=(None, None, None), init=False, repr=False,
-                              compare=False)
+    # up to two lagged LUs of distinct dt, most recently used first, each with
+    # its dt and the stacked W factors it was factored at
+    _lagged: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def t(self) -> float:
         return self.field.t
-
-    @property
-    def terms(self) -> ops.FluxTerms:
-        """The flux record of the current field, computed once per field."""
-        values, terms = self._terms
-        if values is not self.field.values:
-            terms = ops.flux_terms(self.grid, self.field.values)
-            self._terms = (self.field.values, terms)
-        return terms
 
 
 def auto_dt(grid: Grid, policy: StepPolicy) -> float:
@@ -175,18 +174,19 @@ def eta_monitor(grid: Grid, field: Field, angle: AngleData, C: float = 0.0,
     K = 5 and S = C_d + 2, the Hessian bound of d plus 2 (see the module
     docstring).  ``terms``, the field's flux record if the caller has it,
     saves recomputing the slopes and W.  Evaluated in log space as
-    log(W (S d + 1) - tilt c) + K (u - C t), with c the centered radial
-    slope and tilt = phi d' its coefficient in phi <grad u, grad d>.  The
-    log's argument stays above (1 - phi0) W > 0 because |phi| |grad u| < W
-    and |grad d| <= 1.  S d + 1 (Grid.monitor_base) and the tilt
+    log(W (S d + 1) - tilt c) + K u, with c the centered radial slope and
+    tilt = phi d' its coefficient in phi <grad u, grad d>; K C t shifts
+    every node alike, so it is subtracted from the argmax's value only.
+    The log's argument stays above (1 - phi0) W > 0 because
+    |phi| |grad u| < W and |grad d| <= 1.  S d + 1 (Grid.monitor_base) and the tilt
     (AngleData.monitor_tilt) are computed once per grid.
     """
     if terms is None:
         terms = ops.flux_terms(grid, field.values)
-    log_weta = (np.log(terms.w_node * grid.monitor_base - angle.monitor_tilt(grid) * terms.c)
-                + _ETA_K * (field.interior - C * field.t))
+    log_weta = np.log(terms.w_node * grid.monitor_base - angle.monitor_tilt(grid) * terms.c)
+    log_weta += _ETA_K * field.interior
     i = int(log_weta.argmax())
-    return (float(np.exp(log_weta.flat[i])),
+    return (float(np.exp(log_weta.flat[i] - _ETA_K * C * field.t)),
             divmod(i, grid.n_theta) if grid.is_disk else (i,))
 
 
@@ -194,13 +194,16 @@ def speed_estimate(history: FlowHistory, tau: float) -> float:
     """Windowed mean-height velocity (mean u(t) - mean u(t - tau)) / tau."""
     if len(history) < 2:
         raise ValueError("insufficient history for a speed estimate")
-    t_now = history.t[-1]
-    target = t_now - tau
-    if target < history.t[0] - 1e-12:
+    if history.t[-1] - tau < history.t[0] - 1e-12:
         raise ValueError("insufficient history for the requested window")
-    idx = _window_start(history.t, target)
-    dt_w = t_now - history.t[idx]
-    return (history.mean_u[-1] - history.mean_u[idx]) / dt_w
+    return _window_speed(history, tau)
+
+
+def _window_speed(history: FlowHistory, tau: float) -> float:
+    """speed_estimate's quotient, on a history that spans the window tau."""
+    times, means = history.t, history.mean_u
+    k = _window_start(times, times[-1] - tau)
+    return (means[-1] - means[k]) / (times[-1] - times[k])
 
 
 def _window_start(t: List[float], target: float) -> int:
@@ -209,29 +212,24 @@ def _window_start(t: List[float], target: float) -> int:
     return min(bisect.bisect_left(t, target + 1e-12), len(t) - 2)
 
 
-def _record(state: FlowState, angle: AngleData, tau: float, extremes: Tuple[float, float]):
-    """Append the history row of the current field, whose interior is
-    already known to be finite and has the given (max, min).  The speed is
-    speed_estimate over the earlier rows, NaN while they do not yet span the
-    window tau."""
-    grid, field, hist = state.grid, state.field, state.history
+def _record(state: FlowState, angle: AngleData, tau: float, hi, lo):
+    """Append the history row of the state's field, read off its flux
+    record; the interior is already known to be finite and has max hi and
+    min lo.  The speed is speed_estimate over the earlier rows, NaN while
+    they do not yet span the window tau."""
+    grid, field, terms, hist = state.grid, state.field, state.terms, state.history
     times = hist.t
-    with np.errstate(over="ignore"):  # a diverging run may log inf monitors
-        terms = state.terms
-        interior = field.interior
-        mean_u = float(np.vdot(grid.quad_row, interior)) / grid.quad_total
-        osc = float(extremes[0] - extremes[1])
-        # speed_estimate's own test of the window, without its ValueError
-        if len(times) >= 2 and times[-1] - tau >= times[0] - 1e-12:
-            spd = speed_estimate(hist, tau)
-        else:
-            spd = math.nan
-        weta, _ = eta_monitor(grid, field, angle, 0.0 if math.isnan(spd) else spd, terms)
-        max_w = float(terms.w_node.max())
+    mean_u = float(np.vdot(grid.quad_row, field.interior)) / grid.quad_total
+    # speed_estimate's own test of the window, without its ValueError
+    if len(times) >= 2 and times[-1] - tau >= times[0] - 1e-12:
+        spd = _window_speed(hist, tau)
+    else:
+        spd = math.nan
+    weta, _ = eta_monitor(grid, field, angle, 0.0 if math.isnan(spd) else spd, terms)
     times.append(float(field.t))
     hist.mean_u.append(mean_u)
-    hist.max_w.append(max_w)
-    hist.osc_u.append(osc)
+    hist.max_w.append(float(terms.w_node.max()))
+    hist.osc_u.append(float(hi - lo))
     hist.speed.append(spd)
     hist.max_weta.append(weta)
 
@@ -243,66 +241,78 @@ def initial_state(grid: Grid, angle: AngleData, u0=0.0) -> FlowState:
     if isinstance(u0, Field):
         u0 = u0.interior
     f = ops.ghost_fill(grid, make_field(grid, u0, t=0.0), angle)
-    state = FlowState(grid=grid, field=f, history=FlowHistory())
-    _record(state, angle, 1.0, (f.interior.max(), f.interior.min()))
+    state = FlowState(grid=grid, field=f, terms=ops.flux_terms(grid, f.values),
+                      history=FlowHistory())
+    with np.errstate(all="ignore"):  # a steep start may log an inf monitor
+        _record(state, angle, 1.0, f.interior.max(), f.interior.min())
     return state
 
 
 def step(state: FlowState, policy: StepPolicy, angle: AngleData,
          tau: Optional[float] = None) -> FlowState:
     """Advance one time step; returns the same FlowState with new field and
-    an appended history row.  A semi-implicit step reuses the state's lagged
-    LU while its W factors stay within _REFACTOR_TOL (see the module
+    an appended history row.  A semi-implicit step reuses a lagged LU of the
+    state while its W factors stay within _REFACTOR_TOL (see the module
     docstring)."""
-    grid, field = state.grid, state.field
+    grid, field, terms = state.grid, state.field, state.terms
     dt = auto_dt(grid, policy)
     interior = field.interior
-    terms = state.terms
+    ext = np.empty_like(field.values)
+    new_int = ext[1:-1]
 
-    if policy.scheme == "explicit":
-        with np.errstate(all="ignore"):  # blow-up is reported, not warned
-            new_int = interior + dt * ops.mcf_from_extended(grid, terms)
-        blow_up = "explicit step produced non-finite values (time step too large)"
-    else:
-        rhs = dt * ops.mcf_from_extended(grid, terms)
-        if rhs.any():
-            try:
-                lu = _lagged_lu(state, angle, dt)
-                delta = lu.solve(rhs.ravel()).reshape(rhs.shape)
-            except RuntimeError as exc:
-                raise SolverError(f"semi-implicit solve failed: {exc}") from exc
+    with np.errstate(all="ignore"):  # blow-up is reported, not warned
+        if policy.scheme == "explicit":
+            np.add(interior, dt * ops.mcf_from_extended(grid, terms), out=new_int)
+            blow_up = "explicit step produced non-finite values (time step too large)"
         else:
-            delta = rhs  # stationary data stay put exactly
-        new_int = interior + delta
-        blow_up = "semi-implicit solve produced non-finite values"
+            rhs = dt * ops.mcf_from_extended(grid, terms)
+            if rhs.any():
+                try:
+                    lu = _lagged_lu(state, terms, angle, dt)
+                    delta = lu.solve(rhs.ravel()).reshape(rhs.shape)
+                except RuntimeError as exc:
+                    raise SolverError(f"semi-implicit solve failed: {exc}") from exc
+            else:
+                delta = rhs  # stationary data stay put exactly
+            np.add(interior, delta, out=new_int)
+            blow_up = "semi-implicit solve produced non-finite values"
 
-    # max and min are both finite exactly when every entry is, and give osc
-    hi, lo = new_int.max(), new_int.min()
-    if not (math.isfinite(hi) and math.isfinite(lo)):
-        raise SolverError(blow_up)
-    # the ghost closure of ghost_fill, on an interior just checked finite
-    state.field = Field(ops.extend_values(grid, new_int, angle), field.t + dt)
-    _record(state, angle, tau if tau is not None else max(1.0, 10.0 * dt), (hi, lo))
+        # max and min are both finite exactly when every entry is, and give osc
+        hi, lo = new_int.max(), new_int.min()
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise SolverError(blow_up)
+        ops.close_ghosts(grid, ext, angle)  # ghost_fill's closure, on a finite interior
+        state.field, state.terms = Field(ext, field.t + dt), ops.flux_terms(grid, ext)
+        _record(state, angle, tau if tau is not None else max(1.0, 10.0 * dt), hi, lo)
     return state
 
 
-def _lagged_lu(state: FlowState, angle: AngleData, dt: float):
-    """LU of I - dt*M at the current flux record: the state's last one if dt
-    is unchanged and W, W_f and (disk) W_t are all within _REFACTOR_TOL of
-    the factors it was built at, in max norm; else the matrix is assembled
-    and factored afresh and kept.  The factors are compared as one stacked
-    array (they share their trailing shape), whose max is at most the tol
-    exactly when each factor's is."""
-    terms = state.terms
-    lu, dt_ref, ref = state._lagged
+def _lagged_lu(state: FlowState, terms: ops.FluxTerms, angle: AngleData, dt: float):
+    """LU of I - dt*M at the flux record terms.  A kept LU is reused if its
+    dt is dt and W, W_f and (disk) W_t are all within _REFACTOR_TOL of the
+    factors it was built at, in max norm; else the matrix is assembled and
+    factored afresh.  The new LU replaces the one of its dt, or else the
+    less recently used one, so a step shortened onto a snapshot or t_end
+    leaves the full step's LU for the step after it, and a run that changes
+    dt for good keeps the LU of its new dt.  The factors are compared as one
+    stacked array (they share their trailing shape), whose max is at most
+    the tol exactly when each factor's is."""
     factors = np.concatenate((terms.w_node, terms.wf_r) if terms.wf_t is None
                              else (terms.w_node, terms.wf_r, terms.wf_t))
-    if lu is not None and dt == dt_ref and abs(factors - ref).max() <= _REFACTOR_TOL:
-        return lu
+    kept = state._lagged
+    for k, (lu, dt_ref, ref) in enumerate(kept):
+        if dt_ref == dt:
+            if abs(factors - ref).max() <= _REFACTOR_TOL:
+                if k:
+                    kept.reverse()  # most recently used first
+                return lu
+            del kept[k]
+            break
     a_mat = ops.semi_implicit_matrix(state.grid, terms, angle, dt)
     lu = splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
-    state._lagged = (lu, dt, factors)
+    kept.insert(0, (lu, dt, factors))
+    del kept[2:]
     return lu
 
 

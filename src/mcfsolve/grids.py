@@ -47,7 +47,7 @@ class Grid:
     h_theta: float = 0.0
     theta: Optional[np.ndarray] = None
 
-    @property
+    @cached_property
     def is_disk(self) -> bool:
         return self.geom.kind == "polar_disk"
 

@@ -109,25 +109,35 @@ def _normal_slope(grid: Grid, interior: np.ndarray, angle: AngleData):
     return angle.normal_slope
 
 
-def extend_values(grid: Grid, interior: np.ndarray, angle: AngleData) -> np.ndarray:
-    """Attach the ghost layer (and pole mirror) to interior values.
-
-    Works for complex input so the same code path serves the complex-step
-    Jacobian.
-    """
+def close_ghosts(grid: Grid, ext: np.ndarray, angle: AngleData) -> np.ndarray:
+    """Set the ghost layer (and pole mirror) of ext in place from its
+    interior rows ext[1:-1], and return ext: the one ghost closure, through
+    which extend_values and flow.step both close their arrays."""
+    interior = ext[1:-1]
     p = _normal_slope(grid, interior, angle)
     h = grid.h_r
     if grid.geom.kind == "interval":
-        ghost_a = interior[1] - 2.0 * h * p[0]
-        ghost_b = interior[-2] - 2.0 * h * p[1]
-        return np.concatenate(([ghost_a], interior, [ghost_b]))
-    if grid.is_disk:
-        mirror = _roll(interior[0], grid.n_theta // 2)
-        ghost = interior[-2] - 2.0 * h * p
-        return np.concatenate((mirror[None], interior, ghost[None]))
-    mirror = interior[0]
-    ghost = interior[-2] - 2.0 * h * p[0]
-    return np.concatenate(([mirror], interior, [ghost]))
+        ext[0] = interior[1] - 2.0 * h * p[0]
+        ext[-1] = interior[-2] - 2.0 * h * p[1]
+    elif grid.is_disk:
+        ext[0] = _roll(interior[0], grid.n_theta // 2)  # the antipodal rays
+        ext[-1] = interior[-2] - 2.0 * h * p
+    else:
+        ext[0] = interior[0]
+        ext[-1] = interior[-2] - 2.0 * h * p[0]
+    return ext
+
+
+def extend_values(grid: Grid, interior: np.ndarray, angle: AngleData) -> np.ndarray:
+    """A new array of the interior values with the ghost layer (and pole
+    mirror) attached by close_ghosts.
+
+    Keeps a complex dtype, so the same code path serves the complex-step
+    Jacobian.
+    """
+    ext = np.empty(grid.ext_shape, np.promote_types(interior.dtype, float))
+    ext[1:-1] = interior
+    return close_ghosts(grid, ext, angle)
 
 
 def ghost_fill(grid: Grid, field: Field, angle: AngleData) -> Field:

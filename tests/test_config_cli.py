@@ -192,12 +192,18 @@ class TestFieldTable:
         assert header == ("r", "theta", "value")
         assert len(rows) == grid.n_nodes * grid.n_theta
         n = grid.n_theta
+        # the coordinates are their shortest round-trip text, each formatted once
         for k, row in enumerate(rows):
-            assert row == (grid.nodes[k // n], grid.theta[k % n], values[k // n, k % n])
+            assert row == (repr(grid.nodes.tolist()[k // n]), repr(grid.theta.tolist()[k % n]),
+                           values[k // n, k % n])
+        assert len({id(row[0]) for row in rows}) == grid.n_nodes
+        assert len({id(row[1]) for row in rows}) == grid.n_theta
         emit_outputs(tmp_path, cfg, {"u.csv": (header, rows)})
         lines = (tmp_path / "u.csv").read_text().splitlines()
         assert lines[0] == "r,theta,value"
-        assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
+        want = [(grid.nodes[k // n], grid.theta[k % n], values[k // n, k % n])
+                for k in range(len(rows))]
+        assert [tuple(map(float, line.split(","))) for line in lines[1:]] == want
 
     @pytest.mark.parametrize("geometry,coord", [
         ({"kind": "radial_ball", "n": 3, "R": 1.0}, "r"),
@@ -208,7 +214,8 @@ class TestFieldTable:
         values = np.linspace(0.0, 1.0, grid.n_nodes)
         header, rows = field_table(grid, values)
         assert header == (coord, "value")
-        assert rows == list(zip(grid.nodes, values))
+        assert [(float(x), v) for x, v in rows] == list(zip(grid.nodes, values))
+        assert all(x == repr(float(x)) for x, _ in rows)
 
 
 class TestCli:

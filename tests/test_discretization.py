@@ -219,6 +219,44 @@ class TestGhostFill:
             w = np.sqrt(1 + p * p + tang * tang)
             assert np.max(np.abs(p / w - angle.phi)) < 1e-14
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("kind,phi", [
+        ("interval", "const:-0.4"),
+        ("radial_ball", "const:0.3"),
+        ("polar_disk", "fourier:0.1,0.2,0.1"),
+    ])
+    def test_in_place_closure_is_the_concatenated_one(self, kind, phi, dtype):
+        # close_ghosts overwrites whatever the ghost slots held, and equals bit
+        # for bit the ghosts built apart and concatenated onto the interior;
+        # a complex interior keeps its dtype, as the complex-step Jacobian needs
+        geom, grid, angle = make_problem(kind, phi=phi)
+        rng = np.random.default_rng(8)
+        interior = (0.2 * rng.standard_normal(grid.shape)).astype(dtype)
+        if dtype is complex:
+            interior += 1e-3j * rng.standard_normal(grid.shape)
+        h = grid.h_r
+        if kind == "interval":
+            p = angle.normal_slope
+            want = np.concatenate(([interior[1] - 2.0 * h * p[0]], interior,
+                                   [interior[-2] - 2.0 * h * p[1]]))
+        else:
+            if grid.is_disk:
+                tang = ((np.roll(interior[-1], -1) - np.roll(interior[-1], 1))
+                        / (2.0 * grid.h_theta * grid.sigma_nodes[-1]))
+                p = grids._slope_closed_form(angle.phi, tang * tang)
+                mirror = np.roll(interior[0], grid.n_theta // 2)
+            else:
+                p, mirror = angle.normal_slope[0], interior[0]
+            want = np.concatenate(([mirror], interior, [interior[-2] - 2.0 * h * p]))
+        ext = np.full(grid.ext_shape, np.nan, dtype=dtype)
+        ext[1:-1] = interior
+        assert operators.close_ghosts(grid, ext, angle) is ext
+        for got in (ext, operators.extend_values(grid, interior, angle)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if dtype is float:
+            filled = ghost_fill(grid, make_field(grid, interior), angle).values
+            assert np.array_equal(filled, want)
+
     @settings(max_examples=200, deadline=None)
     @given(st_.data())
     def test_closure_reproduces_phi(self, data):

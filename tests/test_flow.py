@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_
@@ -56,6 +58,33 @@ class TestStep:
         with pytest.raises(SolverError):
             for _ in range(200):
                 step(st, StepPolicy("explicit", dt=0.5), angle)
+
+    @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
+    def test_blow_up_is_an_error_not_a_warning(self, kind):
+        # the step and its history row run under one errstate: a too large
+        # explicit dt ends in a SolverError, with no RuntimeWarning on the way
+        geom, grid, angle = make_problem(kind, phi="const:-0.3")
+        r = grid.nodes[:, None] if grid.is_disk else grid.nodes
+        st = initial_state(grid, angle, 0.3 * np.cos(2 * np.pi * r))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolverError, match="time step too large"):
+                for _ in range(200):
+                    step(st, StepPolicy("explicit", dt=0.5), angle)
+
+    def test_diverging_stale_matrix_ends_without_warnings(self, monkeypatch):
+        # a lagged matrix never refactored lets this noisy start diverge to an
+        # inf monitor; the run still ends in the budget's SolverError, unwarned
+        monkeypatch.setattr(flow, "_REFACTOR_TOL", 1e9)
+        _, grid, angle = build_problem(parse_config(dict(catalog_cases())["grim_reaper"]))
+        sol = solve_soliton(grid, angle)
+        rng = np.random.default_rng(0)
+        st = initial_state(grid, angle, sol.u_inf.interior + 0.1 * rng.standard_normal(grid.shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolverError, match="after 5000 steps"):
+                run_until(st, StepPolicy(), angle, t_end=1e6, max_steps=5000)
+        assert st.history.max_weta[-1] == np.inf
 
     def test_non_finite_solve_raises_solver_error(self, monkeypatch):
         # the step checks its new interior before it closes the ghosts
@@ -348,7 +377,7 @@ class TestLaggedReuse:
         ref = st.terms
         flow.step(st, policy, angle)
         for shift, refactored in ((0.5e-3, False), (2e-3, True)):
-            st._terms = (st.field.values, ref._replace(**{factor: getattr(ref, factor) + shift}))
+            st.terms = ref._replace(**{factor: getattr(ref, factor) + shift})
             flow.step(st, policy, angle)
             assert (factored[-1] == len(dts) - 1) == refactored
 
@@ -361,16 +390,45 @@ class TestLaggedReuse:
         assert 1 <= len(factored) < 0.05 * len(dts)
 
     def test_shortened_step_factors_afresh(self, monkeypatch):
-        # with a huge tol only a change of dt refactors: the step shortened to
-        # land on a snapshot, and the full step after it
+        # with a huge tol only a new dt refactors: the step shortened to land on
+        # a snapshot or t_end factors its own LU, and the full step after it
+        # reuses the full-dt LU kept across it
         dts, factored = trace_factorizations(monkeypatch)
         monkeypatch.setattr(flow, "_REFACTOR_TOL", 1e9)
         geom, grid, angle = make_problem("interval", n_r=40, phi="const:-0.3")
         st = initial_state(grid, angle, lambda x: 0.1 * np.cos(np.pi * x))
         run_until(st, StepPolicy(), angle, t_end=1.0, snapshot_interval=0.33)
-        changed = [k for k in range(len(dts)) if k == 0 or dts[k] != dts[k - 1]]
-        assert len(changed) >= 7  # three snapshots and t_end land on shortened steps
-        assert factored == changed
+        shortened = [k for k in range(len(dts)) if dts[k] != grid.h_r]
+        assert len(shortened) >= 4  # three snapshots and t_end land on shortened steps
+        assert factored == [0] + shortened
+
+    @pytest.mark.parametrize("name", ["flat_ball_n2", "disk_fourier"])
+    def test_snapshots_leave_the_full_step_lu(self, name, monkeypatch):
+        # from u0 = 0 with snapshots every 0.5, the full steps factor exactly as
+        # often as in the run without snapshots; only shortened steps add LUs
+        dts, factored = trace_factorizations(monkeypatch)
+        _, grid, angle = build_problem(parse_config(dict(catalog_cases())[name]))
+        counts = []
+        for snapshot_interval in (0.5, None):
+            del dts[:], factored[:]
+            run_to_stationarity(grid, angle, StepPolicy(), snapshot_interval=snapshot_interval)
+            full = [k for k in factored if dts[k] == grid.h_r]
+            counts.append((len(full), len(factored) - len(full)))
+        (full_snap, short_snap), (full_plain, short_plain) = counts
+        assert full_snap == full_plain
+        assert short_plain <= 1 and 1 <= short_snap <= 10
+
+    def test_new_dt_for_good_keeps_its_lu(self, monkeypatch):
+        # a run that goes on at a new dt factors once for it and reuses that LU;
+        # going back to the first dt finds its LU still kept
+        dts, factored = trace_factorizations(monkeypatch)
+        monkeypatch.setattr(flow, "_REFACTOR_TOL", 1e9)
+        geom, grid, angle = make_problem("interval", n_r=40, phi="const:-0.3")
+        st = initial_state(grid, angle, lambda x: 0.1 * np.cos(np.pi * x))
+        for dt in (0.05, 0.02, 0.05):
+            for _ in range(10):
+                flow.step(st, StepPolicy(dt=dt), angle)
+        assert factored == [0, 10]
 
     @pytest.mark.parametrize("name", ["grim_reaper", "disk_fourier"])
     def test_stale_matrix_still_converges(self, name, monkeypatch):
@@ -395,47 +453,58 @@ class TestLaggedReuse:
         assert rep.passed, rep.checks
 
 
+def check_history_rows(kind, scheme, tau=None):
+    """Run a flow for 1.5 windows and compare every column of every history
+    row, bit for bit, with the public functions: the field's mean and
+    oscillation, max W, the speed over the earlier rows (NaN until they span
+    the window) and the monitor at that speed."""
+    geom, grid, angle = make_problem(kind, phi="const:-0.2")
+    rng = np.random.default_rng(17)
+    st = initial_state(grid, angle, 0.05 * rng.standard_normal(grid.shape))
+    policy = StepPolicy(scheme)
+    window = tau if tau is not None else max(1.0, 10.0 * auto_dt(grid, policy))
+    fields = [st.field]
+    while st.t < 1.5 * window:
+        step(st, policy, angle, tau=tau)
+        fields.append(st.field)
+    hist = st.history
+    assert len(hist) == len(fields)
+    earlier = FlowHistory()
+    for k, f in enumerate(fields):
+        try:
+            spd = speed_estimate(earlier, window)
+        except ValueError:
+            spd = np.nan
+        interior = f.interior
+        row = (hist.t[k], hist.mean_u[k], hist.max_w[k], hist.osc_u[k], hist.speed[k],
+               hist.max_weta[k])
+        want = (f.t, operators.integrate_domain(grid, f) / grid.quad_total,
+                operators.node_area_element(grid, f.values).max(),
+                interior.max() - interior.min(), spd,
+                eta_monitor(grid, f, angle, C=0.0 if np.isnan(spd) else spd)[0])
+        assert row[:4] == want[:4] and row[5] == want[5], k
+        assert row[4] == want[4] or (np.isnan(row[4]) and np.isnan(want[4])), k
+        assert all(type(v) is float for v in row), k
+        for column, v in zip((earlier.t, earlier.mean_u, earlier.max_w, earlier.osc_u,
+                              earlier.speed, earlier.max_weta), row):
+            column.append(v)
+    speeds = np.asarray(hist.speed)
+    assert np.isnan(speeds[0]) and np.isfinite(speeds[-1])
+
+
 class TestHistoryRow:
     @pytest.mark.parametrize("tol", ["default", 0.0])
     @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
     def test_row_is_the_public_functions(self, kind, tol, monkeypatch):
-        # every column of every row, bit for bit: the field's mean and
-        # oscillation, max W, the speed over the earlier rows (NaN until
-        # they span the window) and the monitor at that speed
         if tol != "default":
             monkeypatch.setattr(flow, "_REFACTOR_TOL", tol)
-        geom, grid, angle = make_problem(kind, phi="const:-0.2")
-        rng = np.random.default_rng(17)
-        st = initial_state(grid, angle, 0.05 * rng.standard_normal(grid.shape))
-        policy = StepPolicy()
-        tau = max(1.0, 10.0 * auto_dt(grid, policy))
-        fields = [st.field]
-        while st.t < 1.5 * tau:
-            step(st, policy, angle)
-            fields.append(st.field)
-        hist = st.history
-        assert len(hist) == len(fields)
-        earlier = FlowHistory()
-        for k, f in enumerate(fields):
-            try:
-                spd = speed_estimate(earlier, tau)
-            except ValueError:
-                spd = np.nan
-            interior = f.interior
-            row = (hist.t[k], hist.mean_u[k], hist.max_w[k], hist.osc_u[k], hist.speed[k],
-                   hist.max_weta[k])
-            want = (f.t, operators.integrate_domain(grid, f) / grid.quad_total,
-                    operators.node_area_element(grid, f.values).max(),
-                    interior.max() - interior.min(), spd,
-                    eta_monitor(grid, f, angle, C=0.0 if np.isnan(spd) else spd)[0])
-            assert row[:4] == want[:4] and row[5] == want[5], k
-            assert row[4] == want[4] or (np.isnan(row[4]) and np.isnan(want[4])), k
-            assert all(type(v) is float for v in row), k
-            for column, v in zip((earlier.t, earlier.mean_u, earlier.max_w, earlier.osc_u,
-                                  earlier.speed, earlier.max_weta), row):
-                column.append(v)
-        speeds = np.asarray(hist.speed)
-        assert np.isnan(speeds[0]) and np.isfinite(speeds[-1])
+        check_history_rows(kind, "semi_implicit")
+
+    @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
+    def test_explicit_row_is_the_public_functions(self, kind):
+        # a window of 20 explicit steps, so that the speed column fills
+        geom, grid, angle = make_problem(kind)
+        check_history_rows(kind, "explicit", tau=20 * auto_dt(grid, StepPolicy("explicit")))
 
 
 class TestSpeedEstimate:
