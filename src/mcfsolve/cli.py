@@ -26,6 +26,7 @@ def cmd_soliton(cfg, args) -> int:
     result = soliton.solve_soliton(grid, angle, cfg.newton_policy())
     report = soliton.verify_compatibility(result)
     report["newton_iterations"] = result.newton_iters
+    report["chord_corrections"] = result.chord_corrections
     emit_outputs(args.out, cfg, {"u_inf.csv": field_table(grid, result.u_inf.interior),
                                  "report.json": report})
     print(f"soliton: C_eps={result.C_eps:.6f} C_quad={result.C_quad:.6f} C_h={result.C_h:.6f} "

@@ -230,6 +230,14 @@ class TestCli:
         first = (out / "u_inf.csv").read_text().splitlines()[0]
         assert first == "x,value"
 
+    def test_soliton_report_counts_factorizations_and_corrections(self, tmp_path):
+        out = tmp_path / "sol"
+        assert cli_main(["soliton", "--config", "grim_reaper", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        # one Jacobian, factored once, then chord corrections on its LU
+        assert report["newton_iterations"] == [1]
+        assert report["chord_corrections"][0] > 0
+
     def test_flow_snapshot_count(self, tmp_path):
         out = tmp_path / "flow"
         cfg = dict(MINIMAL)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st_
 from scipy.sparse.linalg import splu
 
 from mcfsolve import operators, soliton
+from mcfsolve.flow import SolverError
 
 from mcfsolve import (NewtonPolicy, build_problem, capillary_jacobian,
                       capillary_residual, catalog_cases, field_mean,
@@ -196,12 +197,13 @@ class TestBorderedFactorization:
          "angle": {"phi": "const:0.9353550565811185"}, "solver": {"N_r": 73}},
     ], ids=["disk_fourier", "hyperbolic_disk", "hyperbolic_ball"])
     def test_fill_and_solve_residual(self, cfg, monkeypatch):
-        solves = []
+        factors, solves = [], []
         factor = soliton.splu
 
         class Recorded:
             def __init__(self, a, *args, **kwargs):
                 self.a, self.lu = a, factor(a, *args, **kwargs)
+                factors.append(self)
 
             def solve(self, b):
                 x = self.lu.solve(b)
@@ -213,11 +215,173 @@ class TestBorderedFactorization:
         geom, grid, angle = build_problem(parse_config(cfg))
         sol = solve_soliton(grid, angle)
         assert sum(sol.newton_iters) <= 8
-        assert len(solves) == sum(sol.newton_iters)
+        assert len(factors) == sum(sol.newton_iters)
         # the default column ordering stores 123,000-147,000 nonzeros in
         # L + U on the 40 x 40 disks
         assert max(fill for fill, _ in solves) <= 100_000
         assert max(rel for _, rel in solves) <= 1e-9
+
+
+class TestNewtonPolicy:
+    @pytest.mark.parametrize("kw", [{"tol": math.inf}, {"tol": math.nan}, {"tol": 0.0},
+                                    {"max_iter": 1.5}, {"max_iter": True}, {"max_iter": 0}],
+                             ids=["tol_inf", "tol_nan", "tol_zero", "max_iter_float",
+                                  "max_iter_bool", "max_iter_zero"])
+    def test_rejects_bad_fields(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            NewtonPolicy(**kw)
+
+    def test_accepts_an_integer_budget(self):
+        assert NewtonPolicy(tol=1e-8, max_iter=1).max_iter == 1
+
+
+def _pure_newton(grid, angle, policy=None):
+    """The solve with every chord correction refused: a fresh Jacobian per step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(soliton, "_CHORD_CONTRACTION", 0.0)
+        return solve_soliton(grid, angle, policy)
+
+
+def _assert_same_translator(chord, newton, slack=0.0):
+    assert abs(chord.C_eps - newton.C_eps) <= 5e-14 + slack
+    assert abs(chord.C_h - newton.C_h) <= 5e-14 + slack
+    assert np.max(np.abs(chord.u_inf.values - newton.u_inf.values)) <= 1e-12 + slack
+
+
+# interval, a ball in each curvature model and a flat and a curved disk,
+# angles up to the 0.94 limit, coarse and odd grids
+@st_.composite
+def _admissible_problems(draw):
+    kind = draw(st_.sampled_from(["interval", "flat", "hyperbolic", "pinched_ch",
+                                  "polar_disk", "curved_disk"]))
+    n_r = draw(st_.integers(8, 41))
+    phi0 = draw(st_.floats(-0.94, 0.94))
+    if kind == "interval":
+        a = draw(st_.floats(-2.0, -0.2))
+        return make_problem("interval", a=a, b=a + draw(st_.floats(0.4, 3.0)), n_r=n_r,
+                            phi=f"const:{phi0!r}")
+    if kind in ("polar_disk", "curved_disk"):
+        kw = {"n_r": min(n_r, 21), "n_theta": 2 * draw(st_.integers(4, 12))}
+        if kind == "polar_disk":
+            kw["R"] = draw(st_.floats(0.3, 2.0))
+            coeffs = [phi0] + draw(st_.lists(st_.floats(-0.3, 0.3), max_size=4))
+        else:
+            K = draw(st_.floats(0.2, 3.0))
+            kw["R"] = draw(st_.floats(0.05, 1.0)) / K
+            kw["curvature"] = {"model": draw(st_.sampled_from(["hyperbolic", "pinched_ch"])),
+                               "K": K}
+            coeffs = draw(st_.lists(st_.floats(-0.3, 0.3), min_size=1, max_size=4))
+        scale = 0.9 / max(0.9, sum(abs(c) for c in coeffs))
+        return make_problem("polar_disk", phi="fourier:" + ",".join(repr(c * scale)
+                                                                    for c in coeffs), **kw)
+    curvature = {"model": kind}
+    if kind != "flat":
+        curvature["K"] = draw(st_.floats(0.2, 3.0))
+    return make_problem("radial_ball", n=draw(st_.integers(2, 5)), R=draw(st_.floats(0.1, 3.0)),
+                        curvature=curvature, n_r=n_r, phi=f"const:{phi0!r}")
+
+
+class TestChordCorrections:
+    """After each damped Newton step the same bordered LU takes chord
+    corrections for as long as each cuts the residual below
+    _CHORD_CONTRACTION times the last one."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        factors, solves = [], []
+        factor = soliton.splu
+
+        class Recorded:
+            def __init__(self, a, *args, **kwargs):
+                self.a, self.lu = a, factor(a, *args, **kwargs)
+                factors.append(self)
+
+            def solve(self, b):
+                x = self.lu.solve(b)
+                solves.append(np.max(np.abs(self.a @ x - b)) / np.max(np.abs(b)))
+                return x
+
+        monkeypatch.setattr(soliton, "splu", Recorded)
+        return factors, solves
+
+    @pytest.mark.parametrize("name", ["disk_fourier", "grim_reaper"])
+    def test_each_factor_serves_several_solves(self, name, monkeypatch):
+        factors, solves = self._record(monkeypatch)
+        geom, grid, angle = build_problem(parse_config(dict(catalog_cases())[name]))
+        sol = solve_soliton(grid, angle)
+        assert len(factors) == sum(sol.newton_iters)
+        assert len(solves) > len(factors)
+        # a Newton step and the accepted corrections, plus at most one
+        # refused correction per factor
+        accepted = sum(sol.newton_iters) + sum(sol.chord_corrections)
+        assert accepted <= len(solves) <= accepted + len(factors)
+        assert max(solves) <= 1e-9
+
+    @pytest.mark.parametrize("name,cfg", catalog_cases(), ids=[n for n, _ in catalog_cases()])
+    def test_catalog_matches_pure_newton(self, name, cfg):
+        geom, grid, angle = build_problem(parse_config(cfg))
+        newton = _pure_newton(grid, angle)
+        assert newton.chord_corrections == [0]
+        chord = solve_soliton(grid, angle)
+        assert chord.newton_iters == [1] < newton.newton_iters
+        _assert_same_translator(chord, newton)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_admissible_problems())
+    def test_random_problems_match_pure_newton(self, problem):
+        # either solve may stop anywhere below tol, short of the rounding
+        # floor (pure Newton at tol 1e-10 and at 1e-12 differ by up to 0.2
+        # times its residual), so the two agree up to the larger residual
+        geom, grid, angle = problem
+        chord, newton = solve_soliton(grid, angle), _pure_newton(grid, angle)
+        _assert_same_translator(chord, newton, max(chord.residual, newton.residual))
+
+    def test_refused_correction_refreshes_the_jacobian(self, monkeypatch):
+        # no correction cuts the residual a 10^30-fold, so each is refused and
+        # the solve is pure Newton with one wasted solve per factor
+        factors, solves = self._record(monkeypatch)
+        monkeypatch.setattr(soliton, "_CHORD_CONTRACTION", 1e-30)
+        geom, grid, angle = build_problem(parse_config(dict(catalog_cases())["disk_fourier"]))
+        sol = solve_soliton(grid, angle)
+        assert sol.chord_corrections == [0]
+        assert sum(sol.newton_iters) == len(factors) > 1
+        assert len(solves) == 2 * len(factors)
+        _assert_same_translator(sol, _pure_newton(grid, angle))
+
+    def test_corrections_have_a_finite_budget(self, monkeypatch):
+        # with every correction accepted each inner loop stops at max_iter
+        monkeypatch.setattr(soliton, "_CHORD_CONTRACTION", math.inf)
+        geom, grid, angle = make_problem("interval", n_r=64, phi=f"const:{PHI_GRIM!r}")
+        sol = solve_soliton(grid, angle, NewtonPolicy(max_iter=5))
+        assert sol.chord_corrections == [5 * sol.newton_iters[0]]
+        assert sol.residual <= 1e-10
+
+    def test_budget_counts_newton_iterations(self):
+        # the angle 0.94 needs four Jacobians; one is not enough
+        geom, grid, angle = make_problem("interval", n_r=200, phi="const:0.94")
+        assert solve_soliton(grid, angle).newton_iters == [4]
+        with pytest.raises(SolverError, match=r"did not converge at eps=0 in 1 iterations: "
+                                              r"residual \d\.\d{3}e[+-]\d\d$"):
+            solve_soliton(grid, angle, NewtonPolicy(max_iter=1))
+
+    def test_stagnation_names_eps_iteration_and_residual(self, monkeypatch):
+        # a factor of -J points uphill, so no step length lowers the residual
+        factor = soliton.splu
+        monkeypatch.setattr(soliton, "splu", lambda a, **kw: factor(-a, **kw))
+        geom, grid, angle = make_problem("interval", n_r=64, phi=f"const:{PHI_GRIM!r}")
+        with pytest.raises(SolverError, match=r"stagnated at eps=0, iteration 0: "
+                                              r"residual \d\.\d{3}e[+-]\d\d$"):
+            solve_soliton(grid, angle)
+
+    def test_singular_jacobian_names_eps_iteration_and_residual(self, monkeypatch):
+        def singular(a, **kw):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(soliton, "splu", singular)
+        geom, grid, angle = make_problem("interval", n_r=64, phi=f"const:{PHI_GRIM!r}")
+        with pytest.raises(SolverError, match=r"singular capillary Jacobian at eps=0, "
+                                              r"iteration 0 \(residual \d\.\d{3}e[+-]\d\d\)"):
+            solve_soliton(grid, angle)
 
 
 class TestDiscreteSpeed:
