@@ -40,7 +40,7 @@ def cmd_flow(cfg, args) -> int:
     state = flow.initial_state(grid, angle)
     flow.run_until(state, policy, angle, t_end=args.t_end,
                    snapshot_interval=args.snapshot_interval)
-    files = {"history.csv": (("t", "max_W", "osc", "speed", "max_Weta"), state.history.rows())}
+    files = {"history.csv": (state.history.COLUMNS, state.history.rows())}
     for t, snap in state.snapshots:
         files[f"u_t{t:g}.csv"] = field_table(grid, snap)
     emit_outputs(args.out, cfg, files)

@@ -7,8 +7,7 @@ the command line adds only where to write and how long or finely to run::
       "geometry": {"kind": "interval", "a": -1.0, "b": 1.0},
       "angle":    {"phi": "const:-0.2"},
       "solver":   {"N_r": 200, "N_theta": 64, "scheme": "semi_implicit",
-                   "dt": null, "tol": 1e-10, "max_iter": 30,
-                   "safety": 0.4}
+                   "dt": null, "tol": 1e-10, "max_iter": 30}
     }
 
 Unknown keys are rejected with the offending field path.  ``{"preset":
@@ -59,7 +58,6 @@ _SOLVER_DEFAULTS = {
     "dt": StepPolicy.dt,
     "tol": NewtonPolicy.tol,
     "max_iter": NewtonPolicy.max_iter,
-    "safety": StepPolicy.safety,
 }
 
 PRESETS = {
@@ -86,7 +84,7 @@ class RunConfig:
 
     def step_policy(self) -> StepPolicy:
         s = self.solver
-        return StepPolicy(scheme=s["scheme"], dt=s["dt"], safety=s["safety"])
+        return StepPolicy(scheme=s["scheme"], dt=s["dt"])
 
     def resolved(self) -> dict:
         return {"geometry": _pyify(self.geometry), "angle": {"phi": self.angle},
@@ -189,8 +187,6 @@ def parse_config(source: Union[str, Path, dict, "RunConfig"]) -> RunConfig:
         "scheme": merged["scheme"], "dt": dt,
         "tol": _solver_value(merged, "tol", float, lambda v: v > 0, "must be positive"),
         "max_iter": _solver_value(merged, "max_iter", int, lambda v: v >= 1, "must be at least 1"),
-        "safety": _solver_value(merged, "safety", float, lambda v: 0 < v <= 1,
-                                "must lie in (0, 1]"),
     }
     return RunConfig(geometry=_pyify(raw["geometry"]), angle=phi_spec, solver=solver)
 

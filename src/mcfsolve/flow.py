@@ -2,9 +2,10 @@
 
 Two schemes:
 
-* ``explicit``: forward Euler on the nonlinear operator, with the usual
-  parabolic step bound dt <= safety * h^2 (the principal coefficient is
-  1/W^2 <= 1; the disk adds the angular term).
+* ``explicit``: forward Euler on the nonlinear operator; dt defaults to
+  _EXPLICIT_SAFETY = 0.4 times the parabolic bound h^2 (the principal
+  coefficient is 1/W^2 <= 1; the disk adds the angular term), and a set
+  dt is taken as it is.
 * ``semi_implicit`` (default): backward Euler on the flux form with W
   factors and boundary normal slopes lagged at the previous step, solved
   in increment form (I - dt*M) du = dt*F(u).  Unconditionally stable for
@@ -12,7 +13,9 @@ Two schemes:
   strictly diagonally dominant M-matrix with a symmetric pattern (see
   operators.semi_implicit_matrix), so SuperLU factors it without pivoting
   in a minimum-degree ordering of A^T + A, which fills in less than the
-  default column ordering with partial pivoting.
+  default column ordering with partial pivoting, and with small
+  supernodes (relax=1, panel_size=1), which factor the disk's matrix
+  about a third faster with the same fill.
 
 The lagged LU is reused along the flow.  M reads u only through the
 factors W, W_f and (disk) W_t, and slopes do not see the shift by C t, so
@@ -50,12 +53,11 @@ bound of d plus 2) fixed, and C the row's speed (0 while it is NaN).  The
 history is the empirical record behind the uniform gradient bound and
 bounded-drift checks.  Recording a row costs the same however long the
 history is: the speed window is found by bisection on the time list.
-What does not change from step to step is computed once: per grid, the
-distance terms (``Grid.distance_terms``), the monitor's S d + 1
-(``Grid.monitor_base``) and the quadrature total (``Grid.quad_total``);
-per grid and angle, the extension of phi times the distance derivative,
-phi d' (``AngleData.monitor_tilt``); per angle, the 1-D ghost closure's
-normal slope (``AngleData.normal_slope``).
+What does not change from step to step is computed once: per flow, in
+initial_state, the monitor's S d + 1 and phi d' (the extension of phi
+times the distance derivative), kept on the FlowState; per grid, the
+quadrature total (``Grid.quad_total``); per angle, the 1-D ghost
+closure's normal slope (``AngleData.normal_slope``).
 
 A step allocates the new ghost-closed array once and writes the updated
 interior straight into it.  It scans that interior once, for its max and
@@ -76,7 +78,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -88,6 +90,8 @@ from . import operators as ops
 _REFACTOR_TOL = 1e-3
 # the monitor's K in exp(K (u - C t)); the gradient estimate holds for any K > 0
 _ETA_K = 5.0
+# the explicit step's default dt as a share of the parabolic bound 1 / rate
+_EXPLICIT_SAFETY = 0.4
 
 __all__ = [
     "StepPolicy",
@@ -111,15 +115,12 @@ class SolverError(RuntimeError):
 class StepPolicy:
     scheme: str = "semi_implicit"
     dt: Optional[float] = None  # None = auto
-    safety: float = 0.4
 
     def __post_init__(self):
         if self.scheme not in ("semi_implicit", "explicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not 0 < self.safety <= 1:
-            raise ValueError("safety must lie in (0, 1]")
 
 
 @dataclass
@@ -130,10 +131,16 @@ class FlowHistory:
     osc_u: List[float] = dc_field(default_factory=list)
     speed: List[float] = dc_field(default_factory=list)
     max_weta: List[float] = dc_field(default_factory=list)
+    # the names of a row's entries, as history.csv heads them
+    COLUMNS: ClassVar[Tuple[str, ...]] = ("t", "max_W", "osc", "speed", "max_Weta")
 
-    def rows(self):
-        """(t, max_W, osc_u, speed, max_Weta) tuples."""
-        return list(zip(self.t, self.max_w, self.osc_u, self.speed, self.max_weta))
+    def row(self, k: int) -> tuple:
+        """Row k, its entries in the order of COLUMNS."""
+        return self.t[k], self.max_w[k], self.osc_u[k], self.speed[k], self.max_weta[k]
+
+    def rows(self) -> list:
+        """Every row, as row gives it."""
+        return [self.row(k) for k in range(len(self))]
 
     def __len__(self):
         return len(self.t)
@@ -146,6 +153,8 @@ class FlowState:
     # the flux record of field (operators.flux_terms), set together with it
     terms: ops.FluxTerms = dc_field(repr=False, compare=False)
     history: FlowHistory
+    # the monitor's S d + 1 and phi d' (_monitor_terms), computed once per flow
+    monitor: Tuple[np.ndarray, np.ndarray] = dc_field(repr=False, compare=False)
     snapshots: List[Tuple[float, np.ndarray]] = dc_field(default_factory=list)
     # up to two lagged LUs of distinct dt, most recently used first, each with
     # its dt and the stacked W factors it was factored at
@@ -164,26 +173,39 @@ def auto_dt(grid: Grid, policy: StepPolicy) -> float:
     rate = 1.0 / grid.h_r ** 2
     if grid.is_disk:
         rate += 1.0 / (grid.sigma_nodes[0] * grid.h_theta) ** 2
-    return policy.safety / rate
+    return _EXPLICIT_SAFETY / rate
+
+
+def _monitor_terms(grid: Grid, angle: AngleData):
+    """The monitor's S d + 1, with S = C_d + 2, and its tilt phi d', the
+    extension of phi times the coordinate derivative of the smoothed
+    distance d; both shaped to broadcast on the interior."""
+    d, hess_d = grid.geom.smoothed_distance(grid.nodes)
+    dd = grid.geom.smoothed_distance_gradient(grid.nodes)
+    shape = (-1, 1) if grid.is_disk else (-1,)
+    d, dd = np.reshape(d, shape), np.reshape(dd, shape)
+    return (hess_d + 2.0) * d + 1.0, angle.extension(grid) * dd
 
 
 def eta_monitor(grid: Grid, field: Field, angle: AngleData, C: float = 0.0,
-                terms: Optional[ops.FluxTerms] = None):
+                terms: Optional[ops.FluxTerms] = None,
+                monitor: Optional[Tuple[np.ndarray, np.ndarray]] = None):
     """Maximum of W*eta over the grid and its location.
 
     K = 5 and S = C_d + 2, the Hessian bound of d plus 2 (see the module
-    docstring).  ``terms``, the field's flux record if the caller has it,
-    saves recomputing the slopes and W.  Evaluated in log space as
+    docstring).  ``terms``, the field's flux record, and ``monitor``, the
+    pair (S d + 1, phi d') of _monitor_terms, save recomputing them if the
+    caller has them, as a flow does.  Evaluated in log space as
     log(W (S d + 1) - tilt c) + K u, with c the centered radial slope and
     tilt = phi d' its coefficient in phi <grad u, grad d>; K C t shifts
     every node alike, so it is subtracted from the argmax's value only.
     The log's argument stays above (1 - phi0) W > 0 because
-    |phi| |grad u| < W and |grad d| <= 1.  S d + 1 (Grid.monitor_base) and the tilt
-    (AngleData.monitor_tilt) are computed once per grid.
+    |phi| |grad u| < W and |grad d| <= 1.
     """
     if terms is None:
         terms = ops.flux_terms(grid, field.values)
-    log_weta = np.log(terms.w_node * grid.monitor_base - angle.monitor_tilt(grid) * terms.c)
+    base, tilt = _monitor_terms(grid, angle) if monitor is None else monitor
+    log_weta = np.log(terms.w_node * base - tilt * terms.c)
     log_weta += _ETA_K * field.interior
     i = int(log_weta.argmax())
     return (float(np.exp(log_weta.flat[i] - _ETA_K * C * field.t)),
@@ -225,7 +247,8 @@ def _record(state: FlowState, angle: AngleData, tau: float, hi, lo):
         spd = _window_speed(hist, tau)
     else:
         spd = math.nan
-    weta, _ = eta_monitor(grid, field, angle, 0.0 if math.isnan(spd) else spd, terms)
+    weta, _ = eta_monitor(grid, field, angle, 0.0 if math.isnan(spd) else spd, terms,
+                          state.monitor)
     times.append(float(field.t))
     hist.mean_u.append(mean_u)
     hist.max_w.append(float(terms.w_node.max()))
@@ -236,13 +259,13 @@ def _record(state: FlowState, angle: AngleData, tau: float, hi, lo):
 
 def initial_state(grid: Grid, angle: AngleData, u0=0.0) -> FlowState:
     """Ghost-close the initial data (a scalar, an interior array or a
-    Field, whose ghosts are rebuilt from its interior) and record the t = 0
-    history row."""
+    Field, whose ghosts are rebuilt from its interior), compute the flow's
+    monitor terms and record the t = 0 history row."""
     if isinstance(u0, Field):
         u0 = u0.interior
     f = ops.ghost_fill(grid, make_field(grid, u0, t=0.0), angle)
     state = FlowState(grid=grid, field=f, terms=ops.flux_terms(grid, f.values),
-                      history=FlowHistory())
+                      history=FlowHistory(), monitor=_monitor_terms(grid, angle))
     with np.errstate(all="ignore"):  # a steep start may log an inf monitor
         _record(state, angle, 1.0, f.interior.max(), f.interior.min())
     return state
@@ -309,7 +332,7 @@ def _lagged_lu(state: FlowState, terms: ops.FluxTerms, angle: AngleData, dt: flo
             del kept[k]
             break
     a_mat = ops.semi_implicit_matrix(state.grid, terms, angle, dt)
-    lu = splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    lu = splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1,
               options={"SymmetricMode": True})
     kept.insert(0, (lu, dt, factors))
     del kept[2:]
@@ -368,6 +391,5 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
         return state  # the last allowed step landed on t_end
     waiting = " and ".join(f"{k} = {v!r}" for k, v in (("t_end", t_end), ("speed_tol", speed_tol))
                            if v is not None)
-    last = (hist.t[-1], hist.max_w[-1], hist.osc_u[-1], hist.speed[-1], hist.max_weta[-1])
     raise SolverError(f"flow stopped at t = {state.t!r} after {max_steps} steps without reaching "
-                      f"{waiting}; last history row (t, max_W, osc_u, speed, max_Weta) = {last}")
+                      f"{waiting}; last history row ({', '.join(hist.COLUMNS)}) = {hist.row(-1)}")

@@ -22,7 +22,7 @@ Fields store one ghost layer: 1D values have shape (M+2,), disk values
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
 
@@ -79,23 +79,6 @@ class Grid:
         """sigma at the pole-mirror, node and ghost rows as a column, computed once."""
         ghost = self.geom.volume_weight(self.geom.R + self.h_r)
         return np.concatenate(([self.sigma_nodes[0]], self.sigma_nodes, [ghost]))[:, None]
-
-    @cached_property
-    def distance_terms(self):
-        """Smoothed boundary distance d and its coordinate derivative at the
-        real nodes, shaped to broadcast on the interior, and the bound C_d
-        on |Hess d|; computed once per grid."""
-        d, hess_d = self.geom.smoothed_distance(self.nodes)
-        dd = self.geom.smoothed_distance_gradient(self.nodes)
-        shape = (-1, 1) if self.is_disk else (-1,)
-        return np.reshape(d, shape), np.reshape(dd, shape), hess_d
-
-    @cached_property
-    def monitor_base(self) -> np.ndarray:
-        """S d + 1 with the gradient monitor's default S = C_d + 2, shaped
-        like d in distance_terms; computed once per grid."""
-        d, _, hess_d = self.distance_terms
-        return (hess_d + 2.0) * d + 1.0
 
     @cached_property
     def quad_row(self) -> np.ndarray:
@@ -212,7 +195,6 @@ class AngleData:
     """
 
     phi: np.ndarray
-    _tilts: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.phi)):
@@ -242,18 +224,6 @@ class AngleData:
         if grid.is_disk:
             return np.broadcast_to(self.phi, (grid.n_nodes, grid.n_theta))
         return np.full(grid.n_nodes, self.phi[0])
-
-    def monitor_tilt(self, grid: Grid) -> np.ndarray:
-        """The extension times the coordinate derivative of the smoothed
-        distance (Grid.distance_terms), so that the gradient monitor's
-        phi <grad u, grad d> is monitor_tilt * c for the centered radial
-        slope c; read-only and computed once per grid."""
-        grid_of, tilt = self._tilts.get(id(grid), (None, None))
-        if grid_of is not grid:
-            tilt = self.extension(grid) * grid.distance_terms[1]
-            tilt.flags.writeable = False
-            self._tilts[id(grid)] = (grid, tilt)  # holding grid keeps its id unique
-        return tilt
 
 
 def angle_values(spec: str, theta: Optional[np.ndarray] = None) -> np.ndarray:

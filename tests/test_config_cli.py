@@ -58,6 +58,12 @@ class TestParseConfig:
         cfg = parse_config({"preset": "grim_reaper", "solver": {"N_r": 100}})
         assert cfg.solver["N_r"] == 100
 
+    def test_safety_is_an_unknown_key(self):
+        # the explicit step's safety factor is a constant of the flow; dt sets any step
+        with pytest.raises(ConfigError, match=re.escape("solver: unknown keys ['safety']")):
+            parse_config({**MINIMAL, "solver": {"safety": 0.4}})
+        assert "safety" not in parse_config(MINIMAL).resolved()["solver"]
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
             parse_config({"preset": "nope"})
@@ -75,7 +81,7 @@ class TestParseConfig:
         ({"solver": {"N_r": 8.5}}, "solver.N_r"),
         ({"solver": {"dt": [0.1]}}, "solver.dt"),
         ({"solver": {"tol": float("nan")}}, "solver.tol"),
-        ({"solver": {"safety": 2.0}}, "solver.safety"),
+        ({"solver": {"scheme": "implicit"}}, "solver.scheme"),
         ({"solver": {"max_iter": 0}}, "solver.max_iter"),
         ({"angle": {"phi": "const:nan"}}, "angle.phi"),
         ({"angle": {"phi": "fourier:0.1"}}, "angle.phi"),

@@ -605,10 +605,28 @@ class TestEtaMonitor:
         assert len(hess_reads) <= 1  # the monitor's S
 
     @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
+    def test_two_flows_on_one_grid_each_evaluate_the_distance_once(self, kind, monkeypatch):
+        calls = []
+        original = Geometry.smoothed_distance
+
+        def counting(self, x):
+            calls.append(self)
+            return original(self, x)
+
+        monkeypatch.setattr(Geometry, "smoothed_distance", counting)
+        geom, grid, angle = make_problem(kind, phi="const:0.2")
+        policy = StepPolicy()
+        for flows, u0 in enumerate((0.0, 0.01), start=1):
+            st = initial_state(grid, angle, u0)
+            run_until(st, policy, angle, t_end=20 * auto_dt(grid, policy))
+            assert len(st.history) == 21
+            assert len(calls) == flows
+
+    @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
     def test_monitor_matches_direct_evaluation(self, kind):
         geom, grid, angle = make_problem(kind, phi="const:-0.3")
         st = initial_state(grid, angle, 0.0)
-        run_until(st, StepPolicy(), angle, t_end=0.1)  # the grid's terms are cached by now
+        run_until(st, StepPolicy(), angle, t_end=0.1)
         rng = np.random.default_rng(7)
         K, C = 5.0, 0.3
 
@@ -635,7 +653,7 @@ class TestEtaMonitor:
             assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
         check(grid, angle, base=st.field.values)
-        # a second angle on the same grid keeps its own per-grid terms
+        # a second angle on the same grid gets its own tilt
         check(grid, AngleData(phi=-2.0 * angle.phi))
         check(grid, angle)
         # the same angle on a second grid of the geometry
