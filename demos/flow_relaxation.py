@@ -4,8 +4,9 @@ Starting from u = 0 on the closed-form interval case, the graph first
 bends to meet the prescribed boundary angle, then settles into rigid
 vertical motion: oscillation of u - u_inf dies out, the windowed speed
 approaches the translator speed, and the gradient envelope max W levels
-off.  The run stops on speed stationarity and is then doubled to show
-the envelope stays flat.
+off.  The run stops once a step moves every node alike, to 1e-6 in
+osc(u_new - u_old) / dt, and is then doubled to show the envelope stays
+flat.
 """
 
 import math
@@ -21,7 +22,7 @@ sol = solve_soliton(grid, angle)
 print(f"translator speed (quadrature): {sol.C_quad:.6f}")
 
 state, t_stat = run_to_stationarity(grid, angle, StepPolicy(), u0=0.0)
-print(f"speed stationarity reached at t = {t_stat:g}; continued to t = {state.t:g}")
+print(f"stationarity reached at t = {t_stat:g}; continued to t = {state.t:g}")
 
 hist = state.history
 stride = max(1, len(hist.t) // 12)

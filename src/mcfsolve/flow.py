@@ -43,21 +43,31 @@ new dt.
 Each step appends one history row: t; the mean of u (the quadrature of
 operators.integrate_domain over the domain's volume); max W; osc, the max
 minus the min of u; the speed, speed_estimate over the rows before it with
-the window tau = max(1, 10 dt) (run_until's), NaN while those rows do not
-yet reach back tau; and max W*eta, with eta the weighted gradient monitor
+the window tau = 10 dt (_WINDOW_STEPS steps of the run's dt), NaN while
+those rows do not yet reach back tau; and max W*eta, with eta the weighted
+gradient monitor
 
     eta = exp(K (u - C t)) * (S d + 1 - (phi / W) <grad u, grad d>)
 
 with d the smoothed boundary distance, K = 5 and S = C_d + 2 (the Hessian
-bound of d plus 2) fixed, and C the row's speed (0 while it is NaN).  The
-history is the empirical record behind the uniform gradient bound and
-bounded-drift checks.  Recording a row costs the same however long the
-history is: the speed window is found by bisection on the time list.
+bound of d plus 2) fixed, and C the step's own mean-height speed, the
+difference of the last two means over their dt (0 on the first row, at
+t = 0), so no row waits for the speed window.  The history is the
+empirical record behind the uniform gradient bound and bounded-drift
+checks.  Recording a row costs the same however long the history is: the
+speed window is found by bisection on the time list.
 What does not change from step to step is computed once: per flow, in
 initial_state, the monitor's S d + 1 and phi d' (the extension of phi
 times the distance derivative), kept on the FlowState; per grid, the
 quadrature total (``Grid.quad_total``); per angle, the 1-D ghost
 closure's normal slope (``AngleData.normal_slope``).
+
+run_until's speed_tol stops the run on a windowless measure, osc(u_new -
+u_old) / dt of the last step: exactly 0 on the discrete translator, where
+a step moves every node by C_h dt, so a flow stops at the rate it decays,
+whatever dt.  run_until takes it from the previous field's interior (a
+step writes its new field into a new array), only when speed_tol is set,
+and once the row's windowed speed is defined.
 
 A step allocates the new ghost-closed array once and writes the updated
 interior straight into it.  It scans that interior once, for its max and
@@ -92,6 +102,8 @@ _REFACTOR_TOL = 1e-3
 _ETA_K = 5.0
 # the explicit step's default dt as a share of the parabolic bound 1 / rate
 _EXPLICIT_SAFETY = 0.4
+# the speed column's window tau, in steps of the run's dt
+_WINDOW_STEPS = 10
 
 __all__ = [
     "StepPolicy",
@@ -238,7 +250,8 @@ def _record(state: FlowState, angle: AngleData, tau: float, hi, lo):
     """Append the history row of the state's field, read off its flux
     record; the interior is already known to be finite and has max hi and
     min lo.  The speed is speed_estimate over the earlier rows, NaN while
-    they do not yet span the window tau."""
+    they do not yet span the window tau; the monitor's C is the step's own
+    mean-height speed."""
     grid, field, terms, hist = state.grid, state.field, state.terms, state.history
     times = hist.t
     mean_u = float(np.vdot(grid.quad_row, field.interior)) / grid.quad_total
@@ -247,8 +260,8 @@ def _record(state: FlowState, angle: AngleData, tau: float, hi, lo):
         spd = _window_speed(hist, tau)
     else:
         spd = math.nan
-    weta, _ = eta_monitor(grid, field, angle, 0.0 if math.isnan(spd) else spd, terms,
-                          state.monitor)
+    c_step = (mean_u - hist.mean_u[-1]) / (field.t - times[-1]) if times else 0.0
+    weta, _ = eta_monitor(grid, field, angle, c_step, terms, state.monitor)
     times.append(float(field.t))
     hist.mean_u.append(mean_u)
     hist.max_w.append(float(terms.w_node.max()))
@@ -306,7 +319,7 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
             raise SolverError(blow_up)
         ops.close_ghosts(grid, ext, angle)  # ghost_fill's closure, on a finite interior
         state.field, state.terms = Field(ext, field.t + dt), ops.flux_terms(grid, ext)
-        _record(state, angle, tau if tau is not None else max(1.0, 10.0 * dt), hi, lo)
+        _record(state, angle, tau if tau is not None else _WINDOW_STEPS * dt, hi, lo)
     return state
 
 
@@ -343,11 +356,12 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
               t_end: Optional[float] = None, speed_tol: Optional[float] = None,
               max_steps: int = 10_000_000,
               snapshot_interval: Optional[float] = None) -> FlowState:
-    """Iterate the flow until t_end, or until the windowed speed estimate
-    is stationary: |speed(t) - speed(t - tau)| < speed_tol with
-    tau = max(1, 10 dt).  Snapshots of the field are kept every
-    snapshot_interval time units; the step that would cross a snapshot
-    time is shortened to land on it, as the last step lands on t_end."""
+    """Iterate the flow until t_end, or until it is stationary: the last
+    step's velocity has oscillation osc(u_new - u_old) / dt < speed_tol and
+    its row's windowed speed (tau = 10 dt) is defined (see the module
+    docstring).  Snapshots of the field are kept every snapshot_interval
+    time units; the step that would cross a snapshot time is shortened to
+    land on it, as the last step lands on t_end."""
     if t_end is None and speed_tol is None:
         raise ValueError("need a stop criterion: t_end and/or speed_tol")
     if t_end is not None and not math.isfinite(t_end):
@@ -356,7 +370,7 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
         raise ValueError(f"snapshot_interval must be positive and finite, "
                          f"got {snapshot_interval!r}")
     dt = auto_dt(state.grid, policy)
-    tau = max(1.0, 10.0 * dt)
+    tau = _WINDOW_STEPS * dt
     hist = state.history
     full_step = replace(policy, dt=dt)
 
@@ -375,6 +389,7 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
             dt_step = min(dt_step, t_end - state.t)
         if snapshot_interval is not None:
             dt_step = min(dt_step, next_snap * snapshot_interval - state.t)
+        prev = state.field  # the step writes its new field into a new array
         # a step shortened to land on t_end or a snapshot gets its own policy
         step(state, full_step if dt_step == dt else replace(policy, dt=dt_step),
              angle, tau=tau)
@@ -384,8 +399,9 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
                 state.snapshots.append((next_snap * snapshot_interval, state.field.interior.copy()))
                 next_snap += 1
 
-        if speed_tol is not None and state.t >= 2.0 * tau:  # a NaN speed never stops the run
-            if abs(hist.speed[-1] - hist.speed[_window_start(hist.t, state.t - tau)]) < speed_tol:
+        if speed_tol is not None and not math.isnan(hist.speed[-1]):
+            du = state.field.interior - prev.interior
+            if (du.max() - du.min()) / (state.t - prev.t) < speed_tol:
                 return state
     if t_end is not None and state.t >= t_end - 1e-12:
         return state  # the last allowed step landed on t_end

@@ -56,7 +56,9 @@ disk's pole), so a fine grid can stagnate above an absolute tol.  A
 solve that stagnates or runs out of iterations above tol is therefore
 accepted when max |R| <= eps ||J||_inf ||(v, mu_t)||_inf, with J the
 last bordered Jacobian; anything above that still raises, so a wrong
-Jacobian is still caught.  ``SolitonResult.residual_floor`` records that
+Jacobian is still caught.  The floor is tested as soon as a Newton step
+is refused, before any halving: a point within it has nothing left for
+backtracking to find.  ``SolitonResult.residual_floor`` records that
 bound; it is None when tol was met, and it is not part of any report.
 
 Each factorization of the bordered matrix uses SuperLU's partial
@@ -209,13 +211,14 @@ def _newton_eps(grid: Grid, angle: AngleData, eps: float,
             if trial[-1] < nrm or trial[-1] <= policy.tol:
                 v, mu_t, r, gap, nrm = trial
                 break
+            if lam == 1.0:  # a full step refused at the floor: halving it finds only rounding
+                bound = floor(bordered, v, mu_t)
+                if nrm <= bound:
+                    return v, mu_t, (it + 1, corrections, bound)
             lam *= 0.5
         else:
-            bound = floor(bordered, v, mu_t)
-            if nrm > bound:
-                raise SolverError(f"Newton stagnated at eps={eps:g}, iteration {it}: "
-                                  f"residual {nrm:.3e}")
-            return v, mu_t, (it + 1, corrections, bound)
+            raise SolverError(f"Newton stagnated at eps={eps:g}, iteration {it}: "
+                              f"residual {nrm:.3e}")
 
         # chord corrections on the same factor, kept while they contract
         for _ in range(policy.max_iter):

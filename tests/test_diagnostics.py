@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st_
 from mcfsolve import (Field, StepPolicy, angle_from_spec, auto_dt, contraction_test,
                       initial_state, make_geometry, make_grid, refinement_study,
                       run_to_stationarity, solve_soliton, verify_convergence)
-from mcfsolve import diagnostics
-from mcfsolve.flow import _window_start
+from mcfsolve import SolverError, build_problem, catalog_cases, diagnostics, flow, parse_config
 from conftest import PHI_GRIM, make_problem
 
 
@@ -22,21 +21,119 @@ def grim_verified():
     return grid, angle, sol, state, t_stat
 
 
-def test_run_to_stationarity_stops_at_1e_6_and_doubles(grim_verified):
-    # run_until's rule, |speed(t) - speed(t - tau)| < 1e-6 once t >= 2 tau,
-    # holds first at t_stat, and the run goes on to 2 t_stat
-    grid, _, _, state, t_stat = grim_verified
+def test_run_to_stationarity_stops_at_1e_6_and_doubles(grim_verified, monkeypatch):
+    # run_until's rule, osc(u_new - u_old) / dt < 1e-6 on a row whose windowed
+    # speed (tau = 10 dt) is defined, holds first at t_stat, and the run goes
+    # on to 2 t_stat; each step's fields are recorded as the run takes it
+    grid, angle, _, verified, verified_t_stat = grim_verified
+    pairs = []
+    original = flow.step
+
+    def recording(state, *args, **kwargs):
+        before = state.field
+        original(state, *args, **kwargs)
+        pairs.append((before, state.field))
+        return state
+
+    monkeypatch.setattr(flow, "step", recording)
+    state, t_stat = run_to_stationarity(grid, angle, StepPolicy())
+    assert (t_stat, state.t) == (verified_t_stat, verified.t)
     assert state.t == pytest.approx(2.0 * t_stat, abs=1e-12)
+    assert t_stat < 2.0  # no window of 1 time unit or more: it stops at the flow's own rate
     hist = state.history
-    tau = max(1.0, 10.0 * auto_dt(grid, StepPolicy()))
+    assert len(pairs) == len(hist) - 1
+    # a row's speed is taken over the rows before it, so it is defined from
+    # the row after the first that lies tau = 10 dt past the start
+    tau = 10.0 * auto_dt(grid, StepPolicy())
+    first = next(k for k, t in enumerate(hist.t) if t >= tau - 1e-12) + 1
+    assert np.isnan(hist.speed[first - 1]) and np.isfinite(hist.speed[first])
 
     def stationary(i):
-        gap = abs(hist.speed[i] - hist.speed[_window_start(hist.t[:i + 1], hist.t[i] - tau)])
-        return hist.t[i] >= 2.0 * tau and gap < 1e-6
+        old, new = pairs[i - 1]
+        du = new.interior - old.interior
+        return not np.isnan(hist.speed[i]) and (du.max() - du.min()) / (new.t - old.t) < 1e-6
 
     i_stat = hist.t.index(t_stat)
     assert stationary(i_stat)
-    assert not any(stationary(i) for i in range(i_stat))
+    assert not any(stationary(i) for i in range(1, i_stat))
+
+
+@pytest.fixture(scope="module")
+def catalog_flows():
+    """Each catalog case's translator and its flow from u = 0 to twice its
+    stationarity time, and that time."""
+    out = {}
+    for name, cfg in catalog_cases():
+        _, grid, angle = build_problem(parse_config(cfg))
+        sol = solve_soliton(grid, angle)
+        state, t_stat = run_to_stationarity(grid, angle, StepPolicy(), snapshot_interval=None)
+        out[name] = grid, sol, state, t_stat
+    return out
+
+
+@pytest.mark.parametrize("name", [name for name, _ in catalog_cases()])
+def test_speed_at_the_stop_and_the_end_is_the_discrete_speed(catalog_flows, name):
+    # the windowed speed of the row where run_until stopped is C_h within the
+    # stop rule's tolerance (its window still holds earlier, faster steps;
+    # the catalog reads at most 4.8e-9), and at the end of the doubled run
+    # it is C_h up to rounding
+    _, sol, state, t_stat = catalog_flows[name]
+    speed = state.history.speed
+    assert abs(speed[state.history.t.index(t_stat)] - sol.C_h) <= diagnostics._STATIONARY_SPEED_TOL
+    assert abs(speed[-1] - sol.C_h) <= 1e-10
+
+
+@pytest.mark.parametrize("name", [name for name, _ in catalog_cases() if name != "disk_fourier"])
+def test_gradient_monitor_peaks_at_the_start(catalog_flows, name):
+    # in 1-D, from u = 0, max W eta at the step's own speed never rises by more
+    # than rounding, so the history's peak is its first row (the disk's limit
+    # has a larger W eta than u = 0, so no such bound holds there)
+    _, _, state, _ = catalog_flows[name]
+    weta = np.asarray(state.history.max_weta)
+    assert np.diff(weta).max() <= 1e-10
+    assert weta.argmax() == 0
+
+
+def test_diverging_flow_runs_out_of_its_budget(monkeypatch):
+    # the first lagged matrix, frozen at a rough start, drives the flow away
+    # from the translator; run_to_stationarity stops it at its budget, the
+    # steps of dt that reach t = 200, with an error naming the rule, the time
+    # reached and the last row
+    monkeypatch.setattr(flow, "_REFACTOR_TOL", 1e9)
+    _, grid, angle = build_problem(parse_config(dict(catalog_cases())["grim_reaper"]))
+    sol = solve_soliton(grid, angle)
+    rng = np.random.default_rng(0)
+    states = []
+    original = diagnostics.initial_state
+    monkeypatch.setattr(diagnostics, "initial_state",
+                        lambda *args: states.append(original(*args)) or states[-1])
+    with pytest.raises(SolverError) as info:
+        run_to_stationarity(grid, angle, StepPolicy(),
+                            u0=sol.u_inf.interior + 0.1 * rng.standard_normal(grid.shape),
+                            snapshot_interval=None)
+    state, = states
+    msg = str(info.value)
+    assert "speed_tol = 1e-06" in msg
+    assert f"t = {state.t!r}" in msg
+    budget = math.ceil(diagnostics._STATIONARY_T_MAX / auto_dt(grid, StepPolicy()))
+    assert f"after {budget} steps" in msg
+    assert repr(state.history.rows()[-1]) in msg
+    assert len(state.history) == budget + 1
+    assert state.t == pytest.approx(diagnostics._STATIONARY_T_MAX)
+    assert max(state.history.max_w) > 1e3  # it diverged, it did not settle
+
+
+def test_explicit_flow_is_stationary_within_the_budget():
+    # the budget is a time: the explicit scheme's dt = 0.4 h_r^2 takes some
+    # 40,000 steps to grim_reaper's stationarity time, and gets them
+    cfg = parse_config({"preset": "grim_reaper", "solver": {"scheme": "explicit"}})
+    _, grid, angle = build_problem(cfg)
+    policy = cfg.step_policy()
+    sol = solve_soliton(grid, angle)
+    state, t_stat = run_to_stationarity(grid, angle, policy, snapshot_interval=None)
+    assert t_stat < 2.0
+    assert len(state.history) > 20_000  # more than a step count sized for dt = h_r would give
+    assert verify_convergence(state, sol, tol=1e-3).passed
 
 
 class TestVerifyConvergence:

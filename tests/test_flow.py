@@ -457,12 +457,13 @@ def check_history_rows(kind, scheme, tau=None):
     """Run a flow for 1.5 windows and compare every column of every history
     row, bit for bit, with the public functions: the field's mean and
     oscillation, max W, the speed over the earlier rows (NaN until they span
-    the window) and the monitor at that speed."""
+    the window, by default 10 dt) and the monitor at the step's own speed,
+    the difference of the last two means over their dt (0 on the first row)."""
     geom, grid, angle = make_problem(kind, phi="const:-0.2")
     rng = np.random.default_rng(17)
     st = initial_state(grid, angle, 0.05 * rng.standard_normal(grid.shape))
     policy = StepPolicy(scheme)
-    window = tau if tau is not None else max(1.0, 10.0 * auto_dt(grid, policy))
+    window = tau if tau is not None else 10.0 * auto_dt(grid, policy)
     fields = [st.field]
     while st.t < 1.5 * window:
         step(st, policy, angle, tau=tau)
@@ -478,10 +479,11 @@ def check_history_rows(kind, scheme, tau=None):
         interior = f.interior
         row = (hist.t[k], hist.mean_u[k], hist.max_w[k], hist.osc_u[k], hist.speed[k],
                hist.max_weta[k])
-        want = (f.t, operators.integrate_domain(grid, f) / grid.quad_total,
-                operators.node_area_element(grid, f.values).max(),
+        mean = operators.integrate_domain(grid, f) / grid.quad_total
+        c_step = (mean - earlier.mean_u[-1]) / (f.t - earlier.t[-1]) if k else 0.0
+        want = (f.t, mean, operators.node_area_element(grid, f.values).max(),
                 interior.max() - interior.min(), spd,
-                eta_monitor(grid, f, angle, C=0.0 if np.isnan(spd) else spd)[0])
+                eta_monitor(grid, f, angle, C=c_step)[0])
         assert row[:4] == want[:4] and row[5] == want[5], k
         assert row[4] == want[4] or (np.isnan(row[4]) and np.isnan(want[4])), k
         assert all(type(v) is float for v in row), k

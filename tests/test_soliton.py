@@ -394,11 +394,18 @@ class TestRoundingFloor:
         table = refinement_study(dict(catalog_cases())["disk_fourier"], 3)
         assert all(o >= 1.9 for o in table["c_orders"] + table["u_orders"])
 
-    def test_fine_grim_reaper_solves_at_its_floor(self):
+    def test_fine_grim_reaper_solves_at_its_floor(self, monkeypatch):
+        # the floor is tested before backtracking, so no step refused at the
+        # floor is halved; the count includes the Jacobian probes
+        calls = []
+        residual = operators.capillary_residual
+        monkeypatch.setattr(operators, "capillary_residual",
+                            lambda *a: calls.append(1) or residual(*a))
         geom, grid, angle = make_problem("interval", n_r=6400, phi=f"const:{PHI_GRIM!r}")
         sol = solve_soliton(grid, angle)
         assert NewtonPolicy().tol < sol.residual <= sol.residual_floor < 1e-8
         assert sol.C_h == pytest.approx(0.5, abs=1e-7)
+        assert len(calls) <= 30
 
     def test_wrong_jacobian_still_stagnates(self, monkeypatch):
         # one column scaled by 2: the steps stall far above the floor
