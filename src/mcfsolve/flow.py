@@ -40,7 +40,7 @@ and leaves the full-dt LU for the full step after it, which reuses it
 under the same test; a run that changes dt for good keeps the LU of its
 new dt.
 
-Each step appends one history row: t; the mean of u (the quadrature of
+Each step adds one history row: t; the mean of u (the quadrature of
 operators.integrate_domain over the domain's volume); max W; osc, the max
 minus the min of u; the speed, speed_estimate over the rows before it with
 the window tau = 10 dt (_WINDOW_STEPS steps of the run's dt), NaN while
@@ -54,8 +54,18 @@ bound of d plus 2) fixed, and C the step's own mean-height speed, the
 difference of the last two means over their dt (0 on the first row, at
 t = 0), so no row waits for the speed window.  The history is the
 empirical record behind the uniform gradient bound and bounded-drift
-checks.  Recording a row costs the same however long the history is: the
-speed window is found by bisection on the time list.
+checks.
+
+Rows are finished in blocks.  A step appends its row's t and osc and
+copies its interior, W and c into buffers; _finish_rows fills in the other
+four columns of every waiting row at once (a vdot per mean, row maxima
+over a quarter block at a time, the windows by searchsorted, max W*eta in
+eta_monitor's log-space form), bit for bit as a block of one row would.  run_until (and
+diagnostics.contraction_test) step inside _rows_in_blocks, which holds one
+block and finishes its rows when it is full and when the run returns or
+raises; initial_state and a step called on its own finish their row at
+once.  Until then t and osc_u run ahead of the other columns.
+
 What does not change from step to step is computed once: per flow, in
 initial_state, the monitor's S d + 1 and phi d' (the extension of phi
 times the distance derivative), kept on the FlowState; per grid, the
@@ -67,7 +77,8 @@ u_old) / dt of the last step: exactly 0 on the discrete translator, where
 a step moves every node by C_h dt, so a flow stops at the rate it decays,
 whatever dt.  run_until takes it from the previous field's interior (a
 step writes its new field into a new array), only when speed_tol is set,
-and once the row's windowed speed is defined.
+and once the row's windowed speed is defined, which it reads off the
+times: the rows before it must span tau.
 
 A step allocates the new ghost-closed array once and writes the updated
 interior straight into it.  It scans that interior once, for its max and
@@ -76,17 +87,19 @@ raises a SolverError and leaves the state as it was, and their difference
 is the row's osc.  It then sets the ghosts in place with
 ops.close_ghosts, the closure of ops.extend_values and ops.ghost_fill.
 The update and the history row run under one np.errstate, which silences
-the warnings of a blow-up the step reports itself.  Each field comes with
-one flux record (``FlowState.terms``, an operators.FluxTerms, set together
-with ``FlowState.field``): the record of the new field gives max W and the
-monitor of its history row, and the next step's right-hand side and lagged
-matrix, so the slopes and area elements are computed once per step.
+the warnings of a blow-up the step reports itself; _finish_rows runs under
+its own.  Each field comes with one flux record (``FlowState.terms``, an
+operators.FluxTerms, set together with ``FlowState.field``): the record of
+the new field gives W and c to its history row, and the next step's
+right-hand side and lagged matrix, so the slopes and area elements are
+computed once per step.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from typing import ClassVar, List, Optional, Tuple
 
@@ -104,6 +117,9 @@ _ETA_K = 5.0
 _EXPLICIT_SAFETY = 0.4
 # the speed column's window tau, in steps of the run's dt
 _WINDOW_STEPS = 10
+# node values in each of run_until's three row buffers, so a block holds
+# 256 rows on a 64-node interval and 10 on the 40 x 40 disk
+_BLOCK_NODES = 2 ** 14
 
 __all__ = [
     "StepPolicy",
@@ -152,7 +168,7 @@ class FlowHistory:
 
     def rows(self) -> list:
         """Every row, as row gives it."""
-        return [self.row(k) for k in range(len(self))]
+        return list(zip(self.t, self.max_w, self.osc_u, self.speed, self.max_weta))
 
     def __len__(self):
         return len(self.t)
@@ -171,6 +187,8 @@ class FlowState:
     # up to two lagged LUs of distinct dt, most recently used first, each with
     # its dt and the stacked W factors it was factored at
     _lagged: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
+    # while run_until runs, the buffers of its block of rows (_new_block)
+    _block: Optional[np.ndarray] = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def t(self) -> float:
@@ -199,29 +217,35 @@ def _monitor_terms(grid: Grid, angle: AngleData):
     return (hess_d + 2.0) * d + 1.0, angle.extension(grid) * dd
 
 
-def eta_monitor(grid: Grid, field: Field, angle: AngleData, C: float = 0.0,
-                terms: Optional[ops.FluxTerms] = None,
-                monitor: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+def eta_monitor(grid: Grid, field: Field, angle: AngleData, C: float = 0.0):
     """Maximum of W*eta over the grid and its location.
 
     K = 5 and S = C_d + 2, the Hessian bound of d plus 2 (see the module
-    docstring).  ``terms``, the field's flux record, and ``monitor``, the
-    pair (S d + 1, phi d') of _monitor_terms, save recomputing them if the
-    caller has them, as a flow does.  Evaluated in log space as
-    log(W (S d + 1) - tilt c) + K u, with c the centered radial slope and
-    tilt = phi d' its coefficient in phi <grad u, grad d>; K C t shifts
-    every node alike, so it is subtracted from the argmax's value only.
-    The log's argument stays above (1 - phi0) W > 0 because
+    docstring).  Evaluated in log space as log(W (S d + 1) - tilt c) + K u
+    (_log_weta, which a flow's history rows share), with c the centered
+    radial slope and tilt = phi d' its coefficient in phi <grad u, grad d>;
+    K C t shifts every node alike, so it is subtracted from the argmax's
+    value only.  The log's argument stays above (1 - phi0) W > 0 because
     |phi| |grad u| < W and |grad d| <= 1.
     """
-    if terms is None:
-        terms = ops.flux_terms(grid, field.values)
-    base, tilt = _monitor_terms(grid, angle) if monitor is None else monitor
-    log_weta = np.log(terms.w_node * base - tilt * terms.c)
-    log_weta += _ETA_K * field.interior
+    terms = ops.flux_terms(grid, field.values)
+    log_weta = _log_weta(terms.w_node, terms.c, field.interior, _monitor_terms(grid, angle))
     i = int(log_weta.argmax())
     return (float(np.exp(log_weta.flat[i] - _ETA_K * C * field.t)),
             divmod(i, grid.n_theta) if grid.is_disk else (i,))
+
+
+def _log_weta(w, c, u, monitor, in_place: bool = False) -> np.ndarray:
+    """log(W (S d + 1) - phi d' c) + K u, the log of W*eta at C = 0, from a
+    field's W, centered radial slope c and interior u, or from fields
+    stacked on a leading axis; monitor is _monitor_terms's pair.  With
+    in_place, it is computed in w, and c and u are overwritten."""
+    base, tilt = monitor
+    log_weta = np.multiply(w, base, out=w if in_place else None)
+    log_weta -= np.multiply(tilt, c, out=c if in_place else None)
+    np.log(log_weta, out=log_weta)
+    log_weta += np.multiply(_ETA_K, u, out=u if in_place else None)
+    return log_weta
 
 
 def speed_estimate(history: FlowHistory, tau: float) -> float:
@@ -230,11 +254,6 @@ def speed_estimate(history: FlowHistory, tau: float) -> float:
         raise ValueError("insufficient history for a speed estimate")
     if history.t[-1] - tau < history.t[0] - 1e-12:
         raise ValueError("insufficient history for the requested window")
-    return _window_speed(history, tau)
-
-
-def _window_speed(history: FlowHistory, tau: float) -> float:
-    """speed_estimate's quotient, on a history that spans the window tau."""
     times, means = history.t, history.mean_u
     k = _window_start(times, times[-1] - tau)
     return (means[-1] - means[k]) / (times[-1] - times[k])
@@ -246,28 +265,84 @@ def _window_start(t: List[float], target: float) -> int:
     return min(bisect.bisect_left(t, target + 1e-12), len(t) - 2)
 
 
-def _record(state: FlowState, angle: AngleData, tau: float, hi, lo):
-    """Append the history row of the state's field, read off its flux
-    record; the interior is already known to be finite and has max hi and
-    min lo.  The speed is speed_estimate over the earlier rows, NaN while
-    they do not yet span the window tau; the monitor's C is the step's own
-    mean-height speed."""
-    grid, field, terms, hist = state.grid, state.field, state.terms, state.history
-    times = hist.t
-    mean_u = float(np.vdot(grid.quad_row, field.interior)) / grid.quad_total
-    # speed_estimate's own test of the window, without its ValueError
-    if len(times) >= 2 and times[-1] - tau >= times[0] - 1e-12:
-        spd = _window_speed(hist, tau)
-    else:
-        spd = math.nan
-    c_step = (mean_u - hist.mean_u[-1]) / (field.t - times[-1]) if times else 0.0
-    weta, _ = eta_monitor(grid, field, angle, c_step, terms, state.monitor)
-    times.append(float(field.t))
-    hist.mean_u.append(mean_u)
-    hist.max_w.append(float(terms.w_node.max()))
+def _add_row(state: FlowState, hi, lo, tau: float) -> None:
+    """Start the history row of the state's new field, whose interior is
+    finite with max hi and min lo: append its t and osc, and copy its
+    interior, W and c into the state's open block, or into a block of one
+    row if none is open.  _finish_rows, with the window tau, finishes the
+    block's rows once it is full."""
+    hist, terms = state.history, state.terms
+    block = state._block if state._block is not None else _new_block(state.grid, 1)
+    k = len(hist.t) - len(hist.mean_u)  # the rows already waiting
+    u, w, c = block
+    u[k], w[k], c[k] = state.field.interior, terms.w_node, terms.c
+    hist.t.append(float(state.field.t))
     hist.osc_u.append(float(hi - lo))
-    hist.speed.append(spd)
-    hist.max_weta.append(weta)
+    if k + 1 == len(u):
+        _finish_rows(state, block, tau)
+
+
+@contextmanager
+def _rows_in_blocks(state: FlowState, tau: float):
+    """Context in which the steps of state, each with the window tau, leave
+    their history rows in one block of buffers.  The rows are finished when
+    the block is full and when the context is left, also by an exception."""
+    state._block = _new_block(state.grid, max(1, _BLOCK_NODES // state.grid.n_unknowns))
+    try:
+        yield state
+    finally:
+        block, state._block = state._block, None
+        _finish_rows(state, block, tau)
+
+
+def _new_block(grid: Grid, rows: int) -> np.ndarray:
+    """Buffers for rows history rows, in one array: the interiors, the W
+    and the c of the rows."""
+    return np.empty((3, rows) + grid.shape)
+
+
+def _finish_rows(state: FlowState, block: np.ndarray, tau: float) -> None:
+    """Fill in mean_u, max_w, speed and max_weta of the history rows past the
+    last finished one, from their interior, W and c in block (overwritten).
+    A row's speed is speed_estimate's over the rows before it, its window
+    found by searchsorted under _window_start's slack and cap, NaN while
+    they do not span tau; its monitor's C is the difference of its mean and
+    the one before over their dt (0 on the first row)."""
+    grid, hist = state.grid, state.history
+    times, means = hist.t, hist.mean_u
+    first, m = len(means), len(times) - len(means)
+    if not m:
+        return
+    u, w, c = block[:, :m]
+    # the elementwise work runs on a quarter block at a time: over a whole
+    # block at once it slowed the steps after it (the disk's flow by 14%, on
+    # a Xeon running numpy's AVX-512 loops)
+    per_chunk = max(1, _BLOCK_NODES // 4 // grid.n_unknowns)
+    max_w, log_peak = np.empty(m), np.empty(m)
+    with np.errstate(all="ignore"):  # a blow-up's rows are reported, not warned
+        means.extend(float(np.vdot(grid.quad_row, x)) / grid.quad_total for x in u)
+        for i in range(0, m, per_chunk):
+            j = min(i + per_chunk, m)
+            max_w[i:j] = w[i:j].reshape(j - i, -1).max(axis=1)
+            log_weta = _log_weta(w[i:j], c[i:j], u[i:j], state.monitor, in_place=True)
+            log_peak[i:j] = log_weta.reshape(j - i, -1).max(axis=1)
+        hist.max_w.extend(max_w.tolist())
+        # times and means from row k0, the earliest that a window of the rows
+        # before the block's reaches; a row's speed is over the rows before it
+        k0 = max(0, min(bisect.bisect_left(times, times[first - 1] - tau + 1e-12), first - 2))
+        t, mu = np.array(times[k0:]), np.array(means[k0:])
+        rows = np.arange(first, len(times))
+        # the row before each, and its window's start (clipped on rows 0 and 1,
+        # whose speed is NaN)
+        prev = np.maximum(rows - k0 - 1, 0)
+        t_prev, mu_prev = t[prev], mu[prev]
+        start = np.maximum(np.minimum(np.searchsorted(t, t_prev - tau + 1e-12), prev - 1), 0)
+        spans = (rows >= 2) & (t_prev - tau >= times[0] - 1e-12)
+        spd = (mu_prev - mu[start]) / (t_prev - t[start])
+        hist.speed.extend(np.where(spans, spd, math.nan).tolist())
+        t_row = t[first - k0:]
+        c_step = np.where(rows >= 1, (mu[first - k0:] - mu_prev) / (t_row - t_prev), 0.0)
+        hist.max_weta.extend(np.exp(log_peak - _ETA_K * c_step * t_row).tolist())
 
 
 def initial_state(grid: Grid, angle: AngleData, u0=0.0) -> FlowState:
@@ -279,17 +354,17 @@ def initial_state(grid: Grid, angle: AngleData, u0=0.0) -> FlowState:
     f = ops.ghost_fill(grid, make_field(grid, u0, t=0.0), angle)
     state = FlowState(grid=grid, field=f, terms=ops.flux_terms(grid, f.values),
                       history=FlowHistory(), monitor=_monitor_terms(grid, angle))
-    with np.errstate(all="ignore"):  # a steep start may log an inf monitor
-        _record(state, angle, 1.0, f.interior.max(), f.interior.min())
+    _add_row(state, f.interior.max(), f.interior.min(), 1.0)
     return state
 
 
 def step(state: FlowState, policy: StepPolicy, angle: AngleData,
          tau: Optional[float] = None) -> FlowState:
     """Advance one time step; returns the same FlowState with new field and
-    an appended history row.  A semi-implicit step reuses a lagged LU of the
-    state while its W factors stay within _REFACTOR_TOL (see the module
-    docstring)."""
+    an appended history row.  Called on its own, the step finishes its row;
+    inside run_until, the row is finished with its block (see the module
+    docstring).  A semi-implicit step reuses a lagged LU of the state while
+    its W factors stay within _REFACTOR_TOL."""
     grid, field, terms = state.grid, state.field, state.terms
     dt = auto_dt(grid, policy)
     interior = field.interior
@@ -319,7 +394,7 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
             raise SolverError(blow_up)
         ops.close_ghosts(grid, ext, angle)  # ghost_fill's closure, on a finite interior
         state.field, state.terms = Field(ext, field.t + dt), ops.flux_terms(grid, ext)
-        _record(state, angle, tau if tau is not None else _WINDOW_STEPS * dt, hi, lo)
+        _add_row(state, hi, lo, tau if tau is not None else _WINDOW_STEPS * dt)
     return state
 
 
@@ -358,10 +433,12 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
               snapshot_interval: Optional[float] = None) -> FlowState:
     """Iterate the flow until t_end, or until it is stationary: the last
     step's velocity has oscillation osc(u_new - u_old) / dt < speed_tol and
-    its row's windowed speed (tau = 10 dt) is defined (see the module
-    docstring).  Snapshots of the field are kept every snapshot_interval
-    time units; the step that would cross a snapshot time is shortened to
-    land on it, as the last step lands on t_end."""
+    its row's windowed speed (tau = 10 dt) is defined, that is, the rows
+    before it span tau (see the module docstring).  Snapshots of the field
+    are kept every snapshot_interval time units; the step that would cross
+    a snapshot time is shortened to land on it, as the last step lands on
+    t_end.  The history rows are finished in blocks, the last of them when
+    the run returns or raises."""
     if t_end is None and speed_tol is None:
         raise ValueError("need a stop criterion: t_end and/or speed_tol")
     if t_end is not None and not math.isfinite(t_end):
@@ -381,28 +458,32 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
         # resume-safe: continue labeling after snapshots already taken
         next_snap = int(math.floor((state.t + 1e-9) / snapshot_interval)) + 1
 
-    for _ in range(max_steps):
-        if t_end is not None and state.t >= t_end - 1e-12:
-            return state
-        dt_step = dt
-        if t_end is not None:
-            dt_step = min(dt_step, t_end - state.t)
-        if snapshot_interval is not None:
-            dt_step = min(dt_step, next_snap * snapshot_interval - state.t)
-        prev = state.field  # the step writes its new field into a new array
-        # a step shortened to land on t_end or a snapshot gets its own policy
-        step(state, full_step if dt_step == dt else replace(policy, dt=dt_step),
-             angle, tau=tau)
-
-        if snapshot_interval is not None:
-            while state.t >= next_snap * snapshot_interval - 1e-9:
-                state.snapshots.append((next_snap * snapshot_interval, state.field.interior.copy()))
-                next_snap += 1
-
-        if speed_tol is not None and not math.isnan(hist.speed[-1]):
-            du = state.field.interior - prev.interior
-            if (du.max() - du.min()) / (state.t - prev.t) < speed_tol:
+    times = hist.t
+    with _rows_in_blocks(state, tau):
+        for _ in range(max_steps):
+            if t_end is not None and state.t >= t_end - 1e-12:
                 return state
+            dt_step = dt
+            if t_end is not None:
+                dt_step = min(dt_step, t_end - state.t)
+            if snapshot_interval is not None:
+                dt_step = min(dt_step, next_snap * snapshot_interval - state.t)
+            prev = state.field  # the step writes its new field into a new array
+            # a step shortened to land on t_end or a snapshot gets its own policy
+            step(state, full_step if dt_step == dt else replace(policy, dt=dt_step),
+                 angle, tau=tau)
+
+            if snapshot_interval is not None:
+                while state.t >= next_snap * snapshot_interval - 1e-9:
+                    state.snapshots.append((next_snap * snapshot_interval,
+                                            state.field.interior.copy()))
+                    next_snap += 1
+
+            # the row's windowed speed is defined once the rows before it span tau
+            if speed_tol is not None and len(times) >= 3 and times[-2] - tau >= times[0] - 1e-12:
+                du = state.field.interior - prev.interior
+                if (du.max() - du.min()) / (state.t - prev.t) < speed_tol:
+                    return state
     if t_end is not None and state.t >= t_end - 1e-12:
         return state  # the last allowed step landed on t_end
     waiting = " and ".join(f"{k} = {v!r}" for k, v in (("t_end", t_end), ("speed_tol", speed_tol))

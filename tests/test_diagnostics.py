@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st_
 
 from mcfsolve import (Field, StepPolicy, angle_from_spec, auto_dt, contraction_test,
-                      initial_state, make_geometry, make_grid, refinement_study,
+                      eta_monitor, initial_state, make_geometry, make_grid, refinement_study,
                       run_to_stationarity, solve_soliton, verify_convergence)
 from mcfsolve import SolverError, build_problem, catalog_cases, diagnostics, flow, parse_config
 from conftest import PHI_GRIM, make_problem
@@ -92,6 +92,21 @@ def test_gradient_monitor_peaks_at_the_start(catalog_flows, name):
     weta = np.asarray(state.history.max_weta)
     assert np.diff(weta).max() <= 1e-10
     assert weta.argmax() == 0
+
+
+@pytest.mark.parametrize("name", ["grim_reaper", "flat_ball_n2", "disk_fourier"])
+def test_final_gradient_monitor_is_the_translators(catalog_flows, name):
+    # at the end of the doubled run the field is u_inf + C_h t up to a shift,
+    # so the last row's max W eta, at the step's own speed C, is the monitor
+    # of u_inf shifted to the last mean less C t, at C = 0 (the three read
+    # 9e-14, 3e-13 and 5.5e-13 apart)
+    grid, sol, state, _ = catalog_flows[name]
+    _, _, angle = build_problem(parse_config(dict(catalog_cases())[name]))
+    hist = state.history
+    c_step = (hist.mean_u[-1] - hist.mean_u[-2]) / (hist.t[-1] - hist.t[-2])
+    shifted = Field(sol.u_inf.values + (hist.mean_u[-1] - c_step * hist.t[-1]), hist.t[-1])
+    want, _ = eta_monitor(grid, shifted, angle, C=0.0)
+    assert hist.max_weta[-1] == pytest.approx(want, rel=1e-9)
 
 
 def test_diverging_flow_runs_out_of_its_budget(monkeypatch):

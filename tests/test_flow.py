@@ -85,6 +85,9 @@ class TestStep:
             with pytest.raises(SolverError, match="after 5000 steps"):
                 run_until(st, StepPolicy(), angle, t_end=1e6, max_steps=5000)
         assert st.history.max_weta[-1] == np.inf
+        # the budget ends the run inside a block: its rows are finished first
+        assert {len(column) for column in history_columns(st.history)} == {5001}
+        assert st.history.t[-1] == st.t
 
     def test_non_finite_solve_raises_solver_error(self, monkeypatch):
         # the step checks its new interior before it closes the ghosts
@@ -453,6 +456,15 @@ class TestLaggedReuse:
         assert rep.passed, rep.checks
 
 
+def history_columns(hist):
+    return hist.t, hist.mean_u, hist.max_w, hist.osc_u, hist.speed, hist.max_weta
+
+
+def history_bits(hist):
+    """The bytes of every column of a history, so that NaN rows compare too."""
+    return [np.asarray(column, dtype=float).tobytes() for column in history_columns(hist)]
+
+
 def check_history_rows(kind, scheme, tau=None):
     """Run a flow for 1.5 windows and compare every column of every history
     row, bit for bit, with the public functions: the field's mean and
@@ -465,7 +477,7 @@ def check_history_rows(kind, scheme, tau=None):
     policy = StepPolicy(scheme)
     window = tau if tau is not None else 10.0 * auto_dt(grid, policy)
     fields = [st.field]
-    while st.t < 1.5 * window:
+    while st.t < 1.5 * window or len(fields) < 5:
         step(st, policy, angle, tau=tau)
         fields.append(st.field)
     hist = st.history
@@ -507,6 +519,75 @@ class TestHistoryRow:
         # a window of 20 explicit steps, so that the speed column fills
         geom, grid, angle = make_problem(kind)
         check_history_rows(kind, "explicit", tau=20 * auto_dt(grid, StepPolicy("explicit")))
+
+    def test_window_shorter_than_a_step(self):
+        # the window's start is capped at the row before the last
+        geom, grid, angle = make_problem("interval")
+        check_history_rows("interval", "semi_implicit", tau=0.5 * auto_dt(grid, StepPolicy()))
+
+    @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
+    @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
+    def test_run_until_rows_are_the_lone_steps(self, kind, scheme, monkeypatch):
+        # run_until finishes its rows in blocks, here of 9 (in chunks of 2),
+        # and a lone step finishes its own: across block boundaries, steps
+        # shortened onto snapshots and a resumed run, every row is the one
+        # the same steps give when taken alone, bit for bit
+        geom, grid, angle = make_problem(kind, phi="const:-0.2")
+        u0 = 0.05 * np.random.default_rng(3).standard_normal(grid.shape)
+        policy = StepPolicy(scheme)
+        dt = auto_dt(grid, policy)
+        monkeypatch.setattr(flow, "_BLOCK_NODES", 9 * grid.n_unknowns)
+        taken, blocks = [], []
+        original_step, original_finish = flow.step, flow._finish_rows
+
+        def recording(state, pol, angle, tau=None):
+            taken.append((pol, tau))
+            return original_step(state, pol, angle, tau=tau)
+
+        def finishing(state, block, tau):
+            blocks.append(len(state.history.t) - len(state.history.mean_u))
+            original_finish(state, block, tau)
+
+        monkeypatch.setattr(flow, "step", recording)
+        monkeypatch.setattr(flow, "_finish_rows", finishing)
+        st = initial_state(grid, angle, u0)
+        run_until(st, policy, angle, t_end=11.5 * dt, snapshot_interval=2.5 * dt)
+        run_until(st, policy, angle, t_end=27.0 * dt, snapshot_interval=2.5 * dt)
+        assert len(taken) == len(st.history) - 1 > 27
+        assert sum(pol.dt != dt for pol, _ in taken) >= 8  # landed on snapshots
+        # the initial row alone, then full blocks of 9 and each run's last rows
+        assert blocks[0] == 1 and blocks.count(9) >= 2 and sum(blocks) == len(st.history)
+
+        del blocks[:]
+        alone = initial_state(grid, angle, u0)
+        for pol, tau in taken:
+            original_step(alone, pol, angle, tau=tau)
+        assert blocks == [1] * len(alone.history)
+        assert history_bits(st.history) == history_bits(alone.history)
+        assert all(type(v) is float for column in history_columns(st.history) for v in column)
+        assert np.isfinite(st.history.speed[-1])
+
+    def test_error_inside_a_block_leaves_whole_rows(self):
+        # a step that blows up inside run_until's first block: the rows before
+        # it are finished, every column has one entry per row, and the last
+        # row is the last finite step's, as when the steps are taken alone
+        geom, grid, angle = make_problem("interval", n_r=64, phi="const:-0.3")
+        u0 = 0.3 * np.cos(2 * np.pi * grid.nodes)
+        policy = StepPolicy("explicit", dt=0.5)
+        st = initial_state(grid, angle, u0)
+        with pytest.raises(SolverError, match="time step too large"):
+            run_until(st, policy, angle, t_end=1e3)
+        hist = st.history
+        assert 2 < len(hist) < flow._BLOCK_NODES // grid.n_unknowns
+        assert {len(column) for column in history_columns(hist)} == {len(hist)}
+        assert hist.t[-1] == st.t
+        assert hist.osc_u[-1] == st.field.interior.max() - st.field.interior.min()
+        assert hist.max_w[-1] == st.terms.w_node.max()
+        alone = initial_state(grid, angle, u0)
+        with pytest.raises(SolverError, match="time step too large"):
+            for _ in range(len(hist)):
+                step(alone, policy, angle, tau=10 * policy.dt)
+        assert history_bits(hist) == history_bits(alone.history)
 
 
 class TestSpeedEstimate:
