@@ -19,8 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import PRESETS, build_problem, parse_config
-from .flow import (_WINDOW_STEPS, FlowState, StepPolicy, _rows_in_blocks, auto_dt,
-                   initial_state, run_until, step)
+from .flow import FlowState, StepPolicy, auto_dt, initial_state, run_until, step
 from .geometry import make_geometry
 from .grids import AngleData, Grid, angle_values
 from .soliton import SolitonResult, solve_soliton
@@ -118,15 +117,13 @@ def contraction_test(grid: Grid, u0_a, u0_b, angle: AngleData,
     trace = [(0.0, f0)]
     max_increase = 0.0
     n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
-    tau = _WINDOW_STEPS * dt  # the window of step's rows
-    with _rows_in_blocks(sa, tau), _rows_in_blocks(sb, tau):
-        for _ in range(n_steps):
-            step(sa, policy, angle)
-            step(sb, policy, angle)
-            diff = sa.field.interior - sb.field.interior
-            f_now = float(np.max(diff) - np.min(diff))
-            max_increase = max(max_increase, f_now - trace[-1][1])
-            trace.append((sa.t, f_now))
+    for _ in range(n_steps):
+        step(sa, policy, angle)
+        step(sb, policy, angle)
+        diff = sa.field.interior - sb.field.interior
+        f_now = float(np.max(diff) - np.min(diff))
+        max_increase = max(max_increase, f_now - trace[-1][1])
+        trace.append((sa.t, f_now))
     f_end = trace[-1][1]
     started_constant = f0 <= 1e-6
     strictly_decreased = f_end < f0

@@ -56,15 +56,15 @@ t = 0), so no row waits for the speed window.  The history is the
 empirical record behind the uniform gradient bound and bounded-drift
 checks.
 
-Rows are finished in blocks.  A step appends its row's t and osc and
-copies its interior, W and c into buffers; _finish_rows fills in the other
-four columns of every waiting row at once (a vdot per mean, row maxima
-over a quarter block at a time, the windows by searchsorted, max W*eta in
-eta_monitor's log-space form), bit for bit as a block of one row would.  run_until (and
-diagnostics.contraction_test) step inside _rows_in_blocks, which holds one
-block and finishes its rows when it is full and when the run returns or
-raises; initial_state and a step called on its own finish their row at
-once.  Until then t and osc_u run ahead of the other columns.
+Rows are finished in blocks, on the state.  A step appends its row's t
+and osc and copies its interior, W and c into the state's block of waiting
+rows; _finish_rows fills in the other four columns of every waiting row at
+once (a vdot per mean, row maxima over a quarter block at a time, the
+windows by searchsorted, max W*eta in eta_monitor's log-space form), bit
+for bit as a block of one row would, when the block is full, when a row of
+another window joins it, and when FlowState.history is read, which also
+frees the block.  The initial row has no window, so it waits with the
+first step's rows.  Until then t and osc_u run ahead of the other columns.
 
 What does not change from step to step is computed once: per flow, in
 initial_state, the monitor's S d + 1 and phi d' (the extension of phi
@@ -99,7 +99,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from typing import ClassVar, List, Optional, Tuple
 
@@ -117,8 +116,8 @@ _ETA_K = 5.0
 _EXPLICIT_SAFETY = 0.4
 # the speed column's window tau, in steps of the run's dt
 _WINDOW_STEPS = 10
-# node values in each of run_until's three row buffers, so a block holds
-# 256 rows on a 64-node interval and 10 on the 40 x 40 disk
+# node values in each of the three buffers of a state's waiting rows, so a
+# block holds 256 rows on a 64-node interval and 10 on the 40 x 40 disk
 _BLOCK_NODES = 2 ** 14
 
 __all__ = [
@@ -180,19 +179,28 @@ class FlowState:
     field: Field
     # the flux record of field (operators.flux_terms), set together with it
     terms: ops.FluxTerms = dc_field(repr=False, compare=False)
-    history: FlowHistory
     # the monitor's S d + 1 and phi d' (_monitor_terms), computed once per flow
     monitor: Tuple[np.ndarray, np.ndarray] = dc_field(repr=False, compare=False)
     snapshots: List[Tuple[float, np.ndarray]] = dc_field(default_factory=list)
+    # the history, read through the history property, which finishes its rows
+    _history: FlowHistory = dc_field(default_factory=FlowHistory, init=False)
     # up to two lagged LUs of distinct dt, most recently used first, each with
     # its dt and the stacked W factors it was factored at
     _lagged: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
-    # while run_until runs, the buffers of its block of rows (_new_block)
+    # the waiting rows' buffers (_add_row) and window, None on the initial row
     _block: Optional[np.ndarray] = dc_field(default=None, init=False, repr=False, compare=False)
+    _tau: Optional[float] = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def t(self) -> float:
         return self.field.t
+
+    @property
+    def history(self) -> FlowHistory:
+        """The history, its waiting rows finished; the read frees their block."""
+        _finish_rows(self)
+        self._block = None
+        return self._history
 
 
 def auto_dt(grid: Grid, policy: StepPolicy) -> float:
@@ -265,55 +273,46 @@ def _window_start(t: List[float], target: float) -> int:
     return min(bisect.bisect_left(t, target + 1e-12), len(t) - 2)
 
 
-def _add_row(state: FlowState, hi, lo, tau: float) -> None:
+def _add_row(state: FlowState, hi, lo, tau: Optional[float]) -> None:
     """Start the history row of the state's new field, whose interior is
     finite with max hi and min lo: append its t and osc, and copy its
-    interior, W and c into the state's open block, or into a block of one
-    row if none is open.  _finish_rows, with the window tau, finishes the
-    block's rows once it is full."""
-    hist, terms = state.history, state.terms
-    block = state._block if state._block is not None else _new_block(state.grid, 1)
+    interior, W and c into the state's block of waiting rows, allocated if
+    there is none.  tau is the row's window, None on the initial row, which
+    has none.  The waiting rows are finished (_finish_rows) first if they
+    have another window, and with this row if it fills the block."""
+    if tau != state._tau:
+        if state._tau is not None:
+            _finish_rows(state)
+        state._tau = tau
+    if state._block is None:
+        rows = max(1, _BLOCK_NODES // state.grid.n_unknowns)
+        state._block = np.empty((3, rows) + state.grid.shape)
+    hist, terms = state._history, state.terms
     k = len(hist.t) - len(hist.mean_u)  # the rows already waiting
-    u, w, c = block
+    u, w, c = state._block
     u[k], w[k], c[k] = state.field.interior, terms.w_node, terms.c
     hist.t.append(float(state.field.t))
     hist.osc_u.append(float(hi - lo))
     if k + 1 == len(u):
-        _finish_rows(state, block, tau)
+        _finish_rows(state)
 
 
-@contextmanager
-def _rows_in_blocks(state: FlowState, tau: float):
-    """Context in which the steps of state, each with the window tau, leave
-    their history rows in one block of buffers.  The rows are finished when
-    the block is full and when the context is left, also by an exception."""
-    state._block = _new_block(state.grid, max(1, _BLOCK_NODES // state.grid.n_unknowns))
-    try:
-        yield state
-    finally:
-        block, state._block = state._block, None
-        _finish_rows(state, block, tau)
-
-
-def _new_block(grid: Grid, rows: int) -> np.ndarray:
-    """Buffers for rows history rows, in one array: the interiors, the W
-    and the c of the rows."""
-    return np.empty((3, rows) + grid.shape)
-
-
-def _finish_rows(state: FlowState, block: np.ndarray, tau: float) -> None:
+def _finish_rows(state: FlowState) -> None:
     """Fill in mean_u, max_w, speed and max_weta of the history rows past the
-    last finished one, from their interior, W and c in block (overwritten).
-    A row's speed is speed_estimate's over the rows before it, its window
-    found by searchsorted under _window_start's slack and cap, NaN while
-    they do not span tau; its monitor's C is the difference of its mean and
-    the one before over their dt (0 on the first row)."""
-    grid, hist = state.grid, state.history
+    last finished one, from their interior, W and c in the state's block
+    (overwritten), under their window tau.  A row's speed is
+    speed_estimate's over the rows before it, its window found by
+    searchsorted under _window_start's slack and cap, NaN while they do not
+    span tau; its monitor's C is the difference of its mean and the one
+    before over their dt (0 on the first row)."""
+    grid, hist = state.grid, state._history
     times, means = hist.t, hist.mean_u
     first, m = len(means), len(times) - len(means)
     if not m:
         return
-    u, w, c = block[:, :m]
+    # the initial row alone has no window: its speed is NaN and C 0 at any tau
+    tau = math.inf if state._tau is None else state._tau
+    u, w, c = state._block[:, :m]
     # the elementwise work runs on a quarter block at a time: over a whole
     # block at once it slowed the steps after it (the disk's flow by 14%, on
     # a Xeon running numpy's AVX-512 loops)
@@ -353,18 +352,19 @@ def initial_state(grid: Grid, angle: AngleData, u0=0.0) -> FlowState:
         u0 = u0.interior
     f = ops.ghost_fill(grid, make_field(grid, u0, t=0.0), angle)
     state = FlowState(grid=grid, field=f, terms=ops.flux_terms(grid, f.values),
-                      history=FlowHistory(), monitor=_monitor_terms(grid, angle))
-    _add_row(state, f.interior.max(), f.interior.min(), 1.0)
+                      monitor=_monitor_terms(grid, angle))
+    _add_row(state, f.interior.max(), f.interior.min(), None)
     return state
 
 
 def step(state: FlowState, policy: StepPolicy, angle: AngleData,
          tau: Optional[float] = None) -> FlowState:
     """Advance one time step; returns the same FlowState with new field and
-    an appended history row.  Called on its own, the step finishes its row;
-    inside run_until, the row is finished with its block (see the module
-    docstring).  A semi-implicit step reuses a lagged LU of the state while
-    its W factors stay within _REFACTOR_TOL."""
+    an appended history row, whose speed has the window tau (by default
+    10 dt).  The row waits on the state with the rows before it and is
+    finished with them, at the latest when state.history is read (see the
+    module docstring).  A semi-implicit step reuses a lagged LU of the state
+    while its W factors stay within _REFACTOR_TOL."""
     grid, field, terms = state.grid, state.field, state.terms
     dt = auto_dt(grid, policy)
     interior = field.interior
@@ -437,8 +437,8 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
     before it span tau (see the module docstring).  Snapshots of the field
     are kept every snapshot_interval time units; the step that would cross
     a snapshot time is shortened to land on it, as the last step lands on
-    t_end.  The history rows are finished in blocks, the last of them when
-    the run returns or raises."""
+    t_end.  It reads the history before it returns or raises its budget's
+    SolverError, which finishes the last rows and frees their block."""
     if t_end is None and speed_tol is None:
         raise ValueError("need a stop criterion: t_end and/or speed_tol")
     if t_end is not None and not math.isfinite(t_end):
@@ -448,7 +448,6 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
                          f"got {snapshot_interval!r}")
     dt = auto_dt(state.grid, policy)
     tau = _WINDOW_STEPS * dt
-    hist = state.history
     full_step = replace(policy, dt=dt)
 
     if snapshot_interval is not None and not state.snapshots:
@@ -458,35 +457,37 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
         # resume-safe: continue labeling after snapshots already taken
         next_snap = int(math.floor((state.t + 1e-9) / snapshot_interval)) + 1
 
-    times = hist.t
-    with _rows_in_blocks(state, tau):
-        for _ in range(max_steps):
-            if t_end is not None and state.t >= t_end - 1e-12:
-                return state
-            dt_step = dt
-            if t_end is not None:
-                dt_step = min(dt_step, t_end - state.t)
-            if snapshot_interval is not None:
-                dt_step = min(dt_step, next_snap * snapshot_interval - state.t)
-            prev = state.field  # the step writes its new field into a new array
-            # a step shortened to land on t_end or a snapshot gets its own policy
-            step(state, full_step if dt_step == dt else replace(policy, dt=dt_step),
-                 angle, tau=tau)
+    times = state._history.t  # complete while the other columns wait
+    for _ in range(max_steps):
+        if t_end is not None and state.t >= t_end - 1e-12:
+            break
+        dt_step = dt
+        if t_end is not None:
+            dt_step = min(dt_step, t_end - state.t)
+        if snapshot_interval is not None:
+            dt_step = min(dt_step, next_snap * snapshot_interval - state.t)
+        prev = state.field  # the step writes its new field into a new array
+        # a step shortened to land on t_end or a snapshot gets its own policy
+        step(state, full_step if dt_step == dt else replace(policy, dt=dt_step), angle, tau=tau)
 
-            if snapshot_interval is not None:
-                while state.t >= next_snap * snapshot_interval - 1e-9:
-                    state.snapshots.append((next_snap * snapshot_interval,
-                                            state.field.interior.copy()))
-                    next_snap += 1
+        if snapshot_interval is not None:
+            while state.t >= next_snap * snapshot_interval - 1e-9:
+                state.snapshots.append((next_snap * snapshot_interval,
+                                        state.field.interior.copy()))
+                next_snap += 1
 
-            # the row's windowed speed is defined once the rows before it span tau
-            if speed_tol is not None and len(times) >= 3 and times[-2] - tau >= times[0] - 1e-12:
-                du = state.field.interior - prev.interior
-                if (du.max() - du.min()) / (state.t - prev.t) < speed_tol:
-                    return state
-    if t_end is not None and state.t >= t_end - 1e-12:
-        return state  # the last allowed step landed on t_end
-    waiting = " and ".join(f"{k} = {v!r}" for k, v in (("t_end", t_end), ("speed_tol", speed_tol))
-                           if v is not None)
-    raise SolverError(f"flow stopped at t = {state.t!r} after {max_steps} steps without reaching "
-                      f"{waiting}; last history row ({', '.join(hist.COLUMNS)}) = {hist.row(-1)}")
+        # the row's windowed speed is defined once the rows before it span tau
+        if speed_tol is not None and len(times) >= 3 and times[-2] - tau >= times[0] - 1e-12:
+            du = state.field.interior - prev.interior
+            if (du.max() - du.min()) / (state.t - prev.t) < speed_tol:
+                break
+    else:
+        if t_end is None or state.t < t_end - 1e-12:  # the last allowed step missed t_end
+            waiting = " and ".join(f"{k} = {v!r}" for k, v in
+                                   (("t_end", t_end), ("speed_tol", speed_tol)) if v is not None)
+            hist = state.history
+            raise SolverError(f"flow stopped at t = {state.t!r} after {max_steps} steps without "
+                              f"reaching {waiting}; last history row "
+                              f"({', '.join(hist.COLUMNS)}) = {hist.row(-1)}")
+    state.history  # finishes the last rows and frees their block
+    return state

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -528,10 +529,11 @@ class TestHistoryRow:
     @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
     @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
     def test_run_until_rows_are_the_lone_steps(self, kind, scheme, monkeypatch):
-        # run_until finishes its rows in blocks, here of 9 (in chunks of 2),
-        # and a lone step finishes its own: across block boundaries, steps
-        # shortened onto snapshots and a resumed run, every row is the one
-        # the same steps give when taken alone, bit for bit
+        # the state finishes its waiting rows in blocks, here of 9 (in chunks
+        # of 2), the initial row with the first steps': across block
+        # boundaries, steps shortened onto snapshots and a resumed run, every
+        # row is the one the same steps give when a history read after each
+        # step finishes its row alone, bit for bit
         geom, grid, angle = make_problem(kind, phi="const:-0.2")
         u0 = 0.05 * np.random.default_rng(3).standard_normal(grid.shape)
         policy = StepPolicy(scheme)
@@ -544,9 +546,11 @@ class TestHistoryRow:
             taken.append((pol, tau))
             return original_step(state, pol, angle, tau=tau)
 
-        def finishing(state, block, tau):
-            blocks.append(len(state.history.t) - len(state.history.mean_u))
-            original_finish(state, block, tau)
+        def finishing(state):
+            waiting = len(state._history.t) - len(state._history.mean_u)
+            if waiting:
+                blocks.append(waiting)
+            original_finish(state)
 
         monkeypatch.setattr(flow, "step", recording)
         monkeypatch.setattr(flow, "_finish_rows", finishing)
@@ -555,22 +559,69 @@ class TestHistoryRow:
         run_until(st, policy, angle, t_end=27.0 * dt, snapshot_interval=2.5 * dt)
         assert len(taken) == len(st.history) - 1 > 27
         assert sum(pol.dt != dt for pol, _ in taken) >= 8  # landed on snapshots
-        # the initial row alone, then full blocks of 9 and each run's last rows
-        assert blocks[0] == 1 and blocks.count(9) >= 2 and sum(blocks) == len(st.history)
+        # full blocks of 9, the first with the initial row, and each run's last rows
+        assert blocks[0] == 9 and blocks.count(9) >= 2 and sum(blocks) == len(st.history)
 
-        del blocks[:]
         alone = initial_state(grid, angle, u0)
         for pol, tau in taken:
+            alone.history
             original_step(alone, pol, angle, tau=tau)
-        assert blocks == [1] * len(alone.history)
         assert history_bits(st.history) == history_bits(alone.history)
         assert all(type(v) is float for column in history_columns(st.history) for v in column)
         assert np.isfinite(st.history.speed[-1])
 
+    def test_lone_steps_wait_for_the_read(self, monkeypatch):
+        # a loop of steps leaves its rows on the state, as run_until does: a
+        # 64-node interval's block of 256 rows is finished when full, not at
+        # every step, and the history read finishes the rest
+        geom, grid, angle = make_problem("interval", n_r=63)
+        rows_per_block = flow._BLOCK_NODES // grid.n_unknowns
+        assert grid.n_unknowns == 64 and rows_per_block == 256
+        policy = StepPolicy("explicit")
+        calls = []
+        original_finish = flow._finish_rows
+
+        def finishing(*args):
+            calls.append(args)
+            original_finish(*args)
+
+        monkeypatch.setattr(flow, "_finish_rows", finishing)
+        n = 600
+        st = initial_state(grid, angle, 0.05 * np.cos(np.pi * grid.nodes))
+        for _ in range(n):
+            step(st, policy, angle)
+        assert len(calls) <= math.ceil((n + 1) / rows_per_block)
+        assert {len(column) for column in history_columns(st.history)} == {n + 1}
+        # a run returns its state with the rows finished and their block freed
+        run_until(st, policy, angle, t_end=st.t + 10 * auto_dt(grid, policy))
+        assert st._block is None
+
+    @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
+    def test_window_change_finishes_the_waiting_rows(self, kind):
+        # steps whose window alternates between 10 dt and 20 dt, in runs of 1
+        # to 4 steps: a row of another window finishes the rows waiting
+        # before it joins, so every row is the one the same steps give when
+        # each row is finished alone, bit for bit
+        geom, grid, angle = make_problem(kind, phi="const:-0.2")
+        u0 = 0.05 * np.random.default_rng(11).standard_normal(grid.shape)
+        policy = StepPolicy("explicit")
+        dt = auto_dt(grid, policy)
+        taus = [tau for run in range(20) for tau in [(10, 20)[run % 2] * dt] * (1 + run % 4)]
+        st, alone = initial_state(grid, angle, u0), initial_state(grid, angle, u0)
+        for tau in taus:
+            step(st, policy, angle, tau=tau)
+            alone.history
+            step(alone, policy, angle, tau=tau)
+        assert 1 < len(st._history.mean_u) < len(st._history.t)  # finished on window changes
+        assert history_bits(st.history) == history_bits(alone.history)
+        speeds = np.asarray(st.history.speed)
+        assert np.isfinite(speeds[-1]) and np.isnan(speeds[20])  # 20 dt is not yet spanned
+
     def test_error_inside_a_block_leaves_whole_rows(self):
-        # a step that blows up inside run_until's first block: the rows before
-        # it are finished, every column has one entry per row, and the last
-        # row is the last finite step's, as when the steps are taken alone
+        # a step that blows up inside run_until's first block: read after the
+        # error, the rows before it are finished, every column has one entry
+        # per row, and the last row is the last finite step's, as when the
+        # steps are taken alone
         geom, grid, angle = make_problem("interval", n_r=64, phi="const:-0.3")
         u0 = 0.3 * np.cos(2 * np.pi * grid.nodes)
         policy = StepPolicy("explicit", dt=0.5)
