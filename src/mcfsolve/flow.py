@@ -183,7 +183,7 @@ class FlowState:
     monitor: Tuple[np.ndarray, np.ndarray] = dc_field(repr=False, compare=False)
     snapshots: List[Tuple[float, np.ndarray]] = dc_field(default_factory=list)
     # the history, read through the history property, which finishes its rows
-    _history: FlowHistory = dc_field(default_factory=FlowHistory, init=False)
+    _history: FlowHistory = dc_field(default_factory=FlowHistory, init=False, compare=False)
     # up to two lagged LUs of distinct dt, most recently used first, each with
     # its dt and the stacked W factors it was factored at
     _lagged: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
@@ -197,7 +197,8 @@ class FlowState:
 
     @property
     def history(self) -> FlowHistory:
-        """The history, its waiting rows finished; the read frees their block."""
+        """The history, its waiting rows finished; the read frees their block.
+        Read it again after a step: a kept history gets only the step's t and osc."""
         _finish_rows(self)
         self._block = None
         return self._history
@@ -362,9 +363,9 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
     """Advance one time step; returns the same FlowState with new field and
     an appended history row, whose speed has the window tau (by default
     10 dt).  The row waits on the state with the rows before it and is
-    finished with them, at the latest when state.history is read (see the
-    module docstring).  A semi-implicit step reuses a lagged LU of the state
-    while its W factors stay within _REFACTOR_TOL."""
+    whole at the latest when state.history is next read; a history kept
+    from an earlier read is not.  A semi-implicit step reuses a lagged LU
+    of the state while its W factors stay within _REFACTOR_TOL."""
     grid, field, terms = state.grid, state.field, state.terms
     dt = auto_dt(grid, policy)
     interior = field.interior

@@ -620,8 +620,9 @@ class TestHistoryRow:
     def test_error_inside_a_block_leaves_whole_rows(self):
         # a step that blows up inside run_until's first block: read after the
         # error, the rows before it are finished, every column has one entry
-        # per row, and the last row is the last finite step's, as when the
-        # steps are taken alone
+        # per row, the last row is the last finite step's, and every row is
+        # bit for bit the one the same steps give when each row is finished
+        # alone
         geom, grid, angle = make_problem("interval", n_r=64, phi="const:-0.3")
         u0 = 0.3 * np.cos(2 * np.pi * grid.nodes)
         policy = StepPolicy("explicit", dt=0.5)
@@ -637,6 +638,7 @@ class TestHistoryRow:
         alone = initial_state(grid, angle, u0)
         with pytest.raises(SolverError, match="time step too large"):
             for _ in range(len(hist)):
+                alone.history  # finishes the row before it alone
                 step(alone, policy, angle, tau=10 * policy.dt)
         assert history_bits(hist) == history_bits(alone.history)
 
