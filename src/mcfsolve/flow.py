@@ -56,15 +56,16 @@ t = 0), so no row waits for the speed window.  The history is the
 empirical record behind the uniform gradient bound and bounded-drift
 checks.
 
-Rows are finished in blocks, on the state.  A step appends its row's t
-and osc and copies its interior, W and c into the state's block of waiting
-rows; _finish_rows fills in the other four columns of every waiting row at
-once (a vdot per mean, row maxima over a quarter block at a time, the
-windows by searchsorted, max W*eta in eta_monitor's log-space form), bit
-for bit as a block of one row would, when the block is full, when a row of
-another window joins it, and when FlowState.history is read, which also
-frees the block.  The initial row has no window, so it waits with the
-first step's rows.  Until then t and osc_u run ahead of the other columns.
+Rows are finished in blocks, on the state.  A step appends its row's t,
+keeps its interior's quadrature total, and copies its interior, W and c
+into the state's block of waiting rows; _finish_rows fills in the other
+five columns of every waiting row at once (the means from the totals, row
+maxima and minima over a quarter block at a time, the windows by
+searchsorted, max W*eta in eta_monitor's log-space form), bit for bit as a
+block of one row would, when the block is full, when a row of another
+window joins it, and when FlowState.history is read, which also frees the
+block.  The initial row has no window, so it waits with the first step's
+rows.  Until then t runs ahead of the other columns.
 
 What does not change from step to step is computed once: per flow, in
 initial_state, the monitor's S d + 1 and phi d' (the extension of phi
@@ -81,10 +82,11 @@ and once the row's windowed speed is defined, which it reads off the
 times: the rows before it must span tau.
 
 A step allocates the new ghost-closed array once and writes the updated
-interior straight into it.  It scans that interior once, for its max and
-min: both are finite exactly when every entry is, so a non-finite one
-raises a SolverError and leaves the state as it was, and their difference
-is the row's osc.  It then sets the ghosts in place with
+interior straight into it.  It reduces that interior once, to its
+quadrature total (the vdot with Grid.quad_row, whose weights are finite),
+which gives the row's mean and is finite only if every entry is; when it
+overflows, the entries are tested one by one, so a non-finite entry
+raises a SolverError and leaves the state as it was.  It then sets the ghosts in place with
 ops.close_ghosts, the closure of ops.extend_values and ops.ghost_fill.
 The update and the history row run under one np.errstate, which silences
 the warnings of a blow-up the step reports itself; _finish_rows runs under
@@ -116,8 +118,8 @@ _ETA_K = 5.0
 _EXPLICIT_SAFETY = 0.4
 # the speed column's window tau, in steps of the run's dt
 _WINDOW_STEPS = 10
-# node values in each of the three buffers of a state's waiting rows, so a
-# block holds 256 rows on a 64-node interval and 10 on the 40 x 40 disk
+# node values of each field a block of waiting rows holds (interior, W, c),
+# so a block holds 256 rows on a 64-node interval and 10 on the 40 x 40 disk
 _BLOCK_NODES = 2 ** 14
 
 __all__ = [
@@ -146,8 +148,8 @@ class StepPolicy:
     def __post_init__(self):
         if self.scheme not in ("semi_implicit", "explicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
 
 
 @dataclass
@@ -187,8 +189,10 @@ class FlowState:
     # up to two lagged LUs of distinct dt, most recently used first, each with
     # its dt and the stacked W factors it was factored at
     _lagged: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
-    # the waiting rows' buffers (_add_row) and window, None on the initial row
+    # the waiting rows' buffers of interior, W and c (_add_row), their
+    # quadrature totals, and their window, None on the initial row
     _block: Optional[np.ndarray] = dc_field(default=None, init=False, repr=False, compare=False)
+    _totals: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
     _tau: Optional[float] = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -198,7 +202,7 @@ class FlowState:
     @property
     def history(self) -> FlowHistory:
         """The history, its waiting rows finished; the read frees their block.
-        Read it again after a step: a kept history gets only the step's t and osc."""
+        Read it again after a step: a kept history gets only the step's t."""
         _finish_rows(self)
         self._block = None
         return self._history
@@ -274,13 +278,13 @@ def _window_start(t: List[float], target: float) -> int:
     return min(bisect.bisect_left(t, target + 1e-12), len(t) - 2)
 
 
-def _add_row(state: FlowState, hi, lo, tau: Optional[float]) -> None:
-    """Start the history row of the state's new field, whose interior is
-    finite with max hi and min lo: append its t and osc, and copy its
+def _add_row(state: FlowState, interior: np.ndarray, total, tau: Optional[float]) -> None:
+    """Start the history row of the state's new field: append its t and its
+    interior's quadrature total (the vdot with Grid.quad_row), and copy its
     interior, W and c into the state's block of waiting rows, allocated if
-    there is none.  tau is the row's window, None on the initial row, which
-    has none.  The waiting rows are finished (_finish_rows) first if they
-    have another window, and with this row if it fills the block."""
+    there is none.  tau is the row's window, None on the initial row.  The
+    waiting rows are finished (_finish_rows) first if they have another
+    window, and with this row if it fills the block."""
     if tau != state._tau:
         if state._tau is not None:
             _finish_rows(state)
@@ -288,29 +292,32 @@ def _add_row(state: FlowState, hi, lo, tau: Optional[float]) -> None:
     if state._block is None:
         rows = max(1, _BLOCK_NODES // state.grid.n_unknowns)
         state._block = np.empty((3, rows) + state.grid.shape)
-    hist, terms = state._history, state.terms
-    k = len(hist.t) - len(hist.mean_u)  # the rows already waiting
+    k = len(state._totals)  # the rows already waiting
     u, w, c = state._block
-    u[k], w[k], c[k] = state.field.interior, terms.w_node, terms.c
-    hist.t.append(float(state.field.t))
-    hist.osc_u.append(float(hi - lo))
+    u[k], w[k], c[k] = interior, state.terms.w_node, state.terms.c
+    state._totals.append(total)
+    state._history.t.append(float(state.field.t))
     if k + 1 == len(u):
         _finish_rows(state)
 
 
 def _finish_rows(state: FlowState) -> None:
-    """Fill in mean_u, max_w, speed and max_weta of the history rows past the
-    last finished one, from their interior, W and c in the state's block
-    (overwritten), under their window tau.  A row's speed is
-    speed_estimate's over the rows before it, its window found by
-    searchsorted under _window_start's slack and cap, NaN while they do not
-    span tau; its monitor's C is the difference of its mean and the one
-    before over their dt (0 on the first row)."""
-    grid, hist = state.grid, state._history
-    times, means = hist.t, hist.mean_u
-    first, m = len(means), len(times) - len(means)
+    """Fill in mean_u, max_w, osc_u, speed and max_weta of the history rows
+    past the last finished one, from their quadrature totals and their
+    interior, W and c in the state's block (overwritten), under their
+    window tau.  A row's mean is its total over Grid.quad_total, its osc
+    the max minus the min of its interior, its speed speed_estimate's over
+    the rows before it, its window found by searchsorted under
+    _window_start's slack and cap, NaN while they do not span tau; its
+    monitor's C is the difference of its mean and the one before over
+    their dt (0 on the first row)."""
+    totals, m = state._totals, len(state._totals)
     if not m:
         return
+    state._totals = []
+    grid, hist = state.grid, state._history
+    times, means = hist.t, hist.mean_u
+    first = len(means)
     # the initial row alone has no window: its speed is NaN and C 0 at any tau
     tau = math.inf if state._tau is None else state._tau
     u, w, c = state._block[:, :m]
@@ -318,15 +325,18 @@ def _finish_rows(state: FlowState) -> None:
     # block at once it slowed the steps after it (the disk's flow by 14%, on
     # a Xeon running numpy's AVX-512 loops)
     per_chunk = max(1, _BLOCK_NODES // 4 // grid.n_unknowns)
-    max_w, log_peak = np.empty(m), np.empty(m)
+    max_w, osc, log_peak = np.empty(m), np.empty(m), np.empty(m)
     with np.errstate(all="ignore"):  # a blow-up's rows are reported, not warned
-        means.extend(float(np.vdot(grid.quad_row, x)) / grid.quad_total for x in u)
+        means.extend((np.array(totals) / grid.quad_total).tolist())
         for i in range(0, m, per_chunk):
             j = min(i + per_chunk, m)
             max_w[i:j] = w[i:j].reshape(j - i, -1).max(axis=1)
+            u_rows = u[i:j].reshape(j - i, -1)
+            np.subtract(u_rows.max(axis=1), u_rows.min(axis=1), out=osc[i:j])
             log_weta = _log_weta(w[i:j], c[i:j], u[i:j], state.monitor, in_place=True)
             log_peak[i:j] = log_weta.reshape(j - i, -1).max(axis=1)
         hist.max_w.extend(max_w.tolist())
+        hist.osc_u.extend(osc.tolist())
         # times and means from row k0, the earliest that a window of the rows
         # before the block's reaches; a row's speed is over the rows before it
         k0 = max(0, min(bisect.bisect_left(times, times[first - 1] - tau + 1e-12), first - 2))
@@ -354,7 +364,7 @@ def initial_state(grid: Grid, angle: AngleData, u0=0.0) -> FlowState:
     f = ops.ghost_fill(grid, make_field(grid, u0, t=0.0), angle)
     state = FlowState(grid=grid, field=f, terms=ops.flux_terms(grid, f.values),
                       monitor=_monitor_terms(grid, angle))
-    _add_row(state, f.interior.max(), f.interior.min(), None)
+    _add_row(state, f.interior, np.vdot(grid.quad_row, f.interior), None)
     return state
 
 
@@ -364,38 +374,36 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
     an appended history row, whose speed has the window tau (by default
     10 dt).  The row waits on the state with the rows before it and is
     whole at the latest when state.history is next read; a history kept
-    from an earlier read is not.  A semi-implicit step reuses a lagged LU
-    of the state while its W factors stay within _REFACTOR_TOL."""
+    from an earlier read gets only its t.  A semi-implicit step reuses a
+    lagged LU of the state while its W factors stay within _REFACTOR_TOL."""
     grid, field, terms = state.grid, state.field, state.terms
     dt = auto_dt(grid, policy)
-    interior = field.interior
     ext = np.empty_like(field.values)
     new_int = ext[1:-1]
 
     with np.errstate(all="ignore"):  # blow-up is reported, not warned
+        delta = ops.mcf_from_extended(grid, terms)
+        delta *= dt
         if policy.scheme == "explicit":
-            np.add(interior, dt * ops.mcf_from_extended(grid, terms), out=new_int)
             blow_up = "explicit step produced non-finite values (time step too large)"
         else:
-            rhs = dt * ops.mcf_from_extended(grid, terms)
-            if rhs.any():
+            if delta.any():  # else stationary data stay put exactly
                 try:
                     lu = _lagged_lu(state, terms, angle, dt)
-                    delta = lu.solve(rhs.ravel()).reshape(rhs.shape)
+                    delta = lu.solve(delta.ravel()).reshape(delta.shape)
                 except RuntimeError as exc:
                     raise SolverError(f"semi-implicit solve failed: {exc}") from exc
-            else:
-                delta = rhs  # stationary data stay put exactly
-            np.add(interior, delta, out=new_int)
             blow_up = "semi-implicit solve produced non-finite values"
+        np.add(field.interior, delta, out=new_int)
 
-        # max and min are both finite exactly when every entry is, and give osc
-        hi, lo = new_int.max(), new_int.min()
-        if not (math.isfinite(hi) and math.isfinite(lo)):
+        # the row's quadrature total: finite only if every entry is, though
+        # finite entries may overflow it
+        total = np.vdot(grid.quad_row, new_int)
+        if not math.isfinite(total) and not np.isfinite(new_int).all():
             raise SolverError(blow_up)
         ops.close_ghosts(grid, ext, angle)  # ghost_fill's closure, on a finite interior
         state.field, state.terms = Field(ext, field.t + dt), ops.flux_terms(grid, ext)
-        _add_row(state, hi, lo, tau if tau is not None else _WINDOW_STEPS * dt)
+        _add_row(state, new_int, total, tau if tau is not None else _WINDOW_STEPS * dt)
     return state
 
 
@@ -450,6 +458,7 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
     dt = auto_dt(state.grid, policy)
     tau = _WINDOW_STEPS * dt
     full_step = replace(policy, dt=dt)
+    t_stop = math.inf if t_end is None else t_end - 1e-12  # no step is taken from here on
 
     if snapshot_interval is not None and not state.snapshots:
         state.snapshots.append((state.t, state.field.interior.copy()))
@@ -460,13 +469,12 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
 
     times = state._history.t  # complete while the other columns wait
     for _ in range(max_steps):
-        if t_end is not None and state.t >= t_end - 1e-12:
+        t = state.t
+        if t >= t_stop:
             break
-        dt_step = dt
-        if t_end is not None:
-            dt_step = min(dt_step, t_end - state.t)
+        dt_step = dt if t_end is None else min(dt, t_end - t)
         if snapshot_interval is not None:
-            dt_step = min(dt_step, next_snap * snapshot_interval - state.t)
+            dt_step = min(dt_step, next_snap * snapshot_interval - t)
         prev = state.field  # the step writes its new field into a new array
         # a step shortened to land on t_end or a snapshot gets its own policy
         step(state, full_step if dt_step == dt else replace(policy, dt=dt_step), angle, tau=tau)
@@ -483,7 +491,7 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
             if (du.max() - du.min()) / (state.t - prev.t) < speed_tol:
                 break
     else:
-        if t_end is None or state.t < t_end - 1e-12:  # the last allowed step missed t_end
+        if state.t < t_stop:  # the last allowed step missed t_end
             waiting = " and ".join(f"{k} = {v!r}" for k, v in
                                    (("t_end", t_end), ("speed_tol", speed_tol)) if v is not None)
             hist = state.history

@@ -102,6 +102,13 @@ class Grid:
         times h_theta on the disk."""
         return self.op_weights[:, None] * self.h_theta if self.is_disk else self.op_weights
 
+    @cached_property
+    def slope_steps(self) -> np.ndarray:
+        """2 h_r for each node's centered slope, then h_r for each face's (flux_terms)."""
+        steps = np.full(2 * self.n_nodes + 1, self.h_r)
+        steps[:self.n_nodes] = 2.0 * self.h_r
+        return steps[:, None] if self.is_disk else steps
+
 
 def make_grid(geom: Geometry, n_r: int, n_theta: Optional[int] = None) -> Grid:
     """Build the structured grid for a geometry at resolution n_r

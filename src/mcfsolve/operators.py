@@ -166,22 +166,36 @@ def flux_terms(grid: Grid, ext: np.ndarray) -> FluxTerms:
     sigma the centered tangential slope on the disk; the one-sided radial
     face slopes with their factors W_f; and on the disk the angular face
     slopes with their factors W_t (None in 1-D).  The face fluxes are
-    s / W_f; accepts complex input."""
-    c = (ext[2:] - ext[:-2]) / (2.0 * grid.h_r)
-    c2 = c * c
-    s_r = (ext[1:] - ext[:-1]) / grid.h_r
+    s / W_f; accepts complex input.  c and s_r share one array, as do W,
+    W_f and W_t, so one square, one + 1 and one sqrt serve them all."""
+    n = len(ext) - 2
+    slopes = np.empty((2 * n + 1,) + ext.shape[1:], np.promote_types(ext.dtype, float))
+    c, s_r = slopes[:n], slopes[n:]
+    np.subtract(ext[2:], ext[:-2], out=c)
+    np.subtract(ext[1:], ext[:-1], out=s_r)
+    slopes /= grid.slope_steps
     if not grid.is_disk:
-        return FluxTerms(c, np.sqrt(1.0 + c2), s_r, np.sqrt(1.0 + s_r * s_r), None, None)
-    # w on every extended row, pole mirror and ghost included, for the faces
+        roots = slopes * slopes
+        roots += 1.0
+        np.sqrt(roots, out=roots)
+        return FluxTerms(c, roots[:n], s_r, roots[n:], None, None)
+    roots = np.empty((3 * n + 1,) + ext.shape[1:], slopes.dtype)  # W, W_f and W_t
+    np.multiply(slopes, slopes, out=roots[:2 * n + 1])
+    w_node, wf_r, wf_t = roots[:n], roots[n:2 * n + 1], roots[2 * n + 1:]
+    # w^2 on every extended row, pole mirror and ghost included, for the faces
     ahead = _roll(ext, -1)
-    w = (ahead - _roll(ext, 1)) / (2.0 * grid.h_theta * grid.sigma_ext)
-    w2 = w * w
-    w_node = np.sqrt(1.0 + c2 + w2[1:-1])
-    wbar2 = 0.5 * (w2[:-1] + w2[1:])
-    wf_r = np.sqrt(1.0 + s_r * s_r + wbar2)
+    w2 = (ahead - _roll(ext, 1)) / (2.0 * grid.h_theta * grid.sigma_ext)
+    w2 *= w2
     s_t = (ahead[1:-1] - ext[1:-1]) / grid.h_theta
-    cbar2 = 0.5 * (c2 + _roll(c2, -1))
-    wf_t = np.sqrt(1.0 + (s_t / grid.sigma_ext[1:-1]) ** 2 + cbar2)
+    np.divide(s_t, grid.sigma_ext[1:-1], out=wf_t)
+    wf_t *= wf_t
+    # w_node holds c^2 until the + 1: the face's c^2 is its mean with the next ray's
+    cbar2 = 0.5 * (w_node + _roll(w_node, -1))
+    roots += 1.0
+    w_node += w2[1:-1]
+    wf_r += 0.5 * (w2[:-1] + w2[1:])
+    wf_t += cbar2
+    np.sqrt(roots, out=roots)
     return FluxTerms(c, w_node, s_r, wf_r, s_t, wf_t)
 
 
@@ -198,13 +212,17 @@ def _flux_differences(grid: Grid, terms: FluxTerms):
     cell, sigma_i h (times h_theta on the disk), so that div_i = D_i /
     Grid.cell_weights.  sigma is 1 on the interval.
     """
+    flux = terms.s_r / terms.wf_r
     if terms.s_t is None:
-        flux = grid.sigma_faces * (terms.s_r / terms.wf_r)
+        flux *= grid.sigma_faces
         return flux, flux[1:] - flux[:-1]
-    flux = grid.sigma_faces[:, None] * (terms.s_r / terms.wf_r)
+    flux *= grid.sigma_faces[:, None]
+    net = flux[1:] - flux[:-1]
+    net *= grid.h_theta
     q_t = terms.s_t / terms.wf_t
-    net = ((flux[1:] - flux[:-1]) * grid.h_theta
-           + (q_t - _roll(q_t, 1)) * (grid.h_r / grid.sigma_ext[1:-1]))
+    q_t -= _roll(q_t, 1)
+    q_t *= grid.h_r / grid.sigma_ext[1:-1]
+    net += q_t
     return flux, net
 
 
@@ -213,7 +231,9 @@ def mcf_from_extended(grid: Grid, ext) -> np.ndarray:
     its FluxTerms record."""
     terms = _terms(grid, ext)
     _, net = _flux_differences(grid, terms)
-    return terms.w_node * (net / grid.cell_weights)
+    net /= grid.cell_weights
+    # W first: numpy's complex products are not bitwise commutative
+    return np.multiply(terms.w_node, net, out=net)
 
 
 def node_area_element(grid: Grid, ext: np.ndarray) -> np.ndarray:

@@ -125,6 +125,47 @@ class TestMcfOperator:
             assert np.all(node_area_element(grid, f.values) >= 1.0)
 
 
+def reference_flux_record(grid, ext):
+    """The flux record from one formula per array: c, W, s_r and W_f, and
+    on the disk w, s_t and W_t, each in its own temporaries."""
+    c = (ext[2:] - ext[:-2]) / (2.0 * grid.h_r)
+    c2 = c * c
+    s_r = (ext[1:] - ext[:-1]) / grid.h_r
+    if not grid.is_disk:
+        return c, np.sqrt(1.0 + c2), s_r, np.sqrt(1.0 + s_r * s_r), None, None
+    ahead = _roll(ext, -1)
+    w = (ahead - _roll(ext, 1)) / (2.0 * grid.h_theta * grid.sigma_ext)
+    w2 = w * w
+    w_node = np.sqrt(1.0 + c2 + w2[1:-1])
+    wf_r = np.sqrt(1.0 + s_r * s_r + 0.5 * (w2[:-1] + w2[1:]))
+    s_t = (ahead[1:-1] - ext[1:-1]) / grid.h_theta
+    wf_t = np.sqrt(1.0 + (s_t / grid.sigma_ext[1:-1]) ** 2 + 0.5 * (c2 + _roll(c2, -1)))
+    return c, w_node, s_r, wf_r, s_t, wf_t
+
+
+@pytest.mark.parametrize("probe", ["real", "complex_step", "complex"])
+@pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
+def test_flux_record_is_the_formulas(kind, probe):
+    # the record shares its buffers and works in place, yet every array is
+    # bit for bit the one its own formula gives, for real fields, for the
+    # Jacobian's complex-step probes and for any complex field
+    geom, grid, angle = make_problem(kind, phi="const:-0.3")
+    rng = np.random.default_rng(23)
+    u = 0.3 * rng.standard_normal(grid.shape)
+    if probe == "complex_step":
+        u = u + 1e-50j * (np.arange(grid.n_unknowns).reshape(grid.shape) % 3 == 1)
+    elif probe == "complex":
+        u = u + 0.1j * rng.standard_normal(grid.shape)
+    ext = operators.extend_values(grid, u, angle)
+    record = operators.flux_terms(grid, ext)
+    for name, got, want in zip(record._fields, record, reference_flux_record(grid, ext)):
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+
 def test_pole_face_carries_zero_weight():
     for kind in ("radial_ball", "polar_disk"):
         geom, grid, angle = make_problem(kind)

@@ -108,8 +108,8 @@ class TestStep:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind", ["interval", "polar_disk"])
     def test_one_non_finite_entry_raises(self, kind, bad, monkeypatch):
-        # the step's max and min catch a single non-finite node, whatever
-        # its sign, and leave the state as it was
+        # the step's finite check catches a single non-finite node, whatever
+        # its sign, and leaves the state as it was
         solved = []
 
         class OneBadEntry:
@@ -133,6 +133,24 @@ class TestStep:
         assert np.array_equal(st.field.values, before)
         assert st.t == 0.0
         assert len(st.history) == 1
+
+    def test_finite_entries_whose_quadrature_overflows_are_kept(self):
+        # every entry of u0 = 1e308 is finite, but the quadrature total of the
+        # interior, the finite check's one reduction, overflows: the step
+        # falls back to the entries, keeps the field and records its row
+        geom, grid, angle = make_problem("interval", n_r=63)
+        st = initial_state(grid, angle, 1e308)
+        step(st, StepPolicy("explicit"), angle)
+        interior = st.field.interior
+        assert grid.n_unknowns == 64 and np.isfinite(interior).all()
+        assert not math.isfinite(np.vdot(grid.quad_row, interior))
+        assert len(st.history) == 2 and st.history.t[-1] == st.t
+        assert st.history.osc_u[-1] == interior.max() - interior.min()
+
+    @pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan, 0.0, -1e-3])
+    def test_policy_refuses_a_dt_not_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            StepPolicy("semi_implicit", dt=dt)
 
     def test_non_finite_explicit_step_names_the_time_step(self, monkeypatch):
         monkeypatch.setattr(operators, "mcf_from_extended",
