@@ -21,13 +21,17 @@ The lagged LU is reused along the flow.  M reads u only through the
 factors W, W_f and (disk) W_t, and slopes do not see the shift by C t, so
 as the flow converges to the translator the matrix settles.  A step keeps
 its factorization on the FlowState and reuses it while dt is the one it
-was factored with and each factor is within ``_REFACTOR_TOL`` = 1e-3 of
-the values it was factored at, in max norm; otherwise it assembles and
-factors I - dt*M afresh.  The factors share their trailing shape, so the
-state keeps them stacked in one array, and the test is one max over the
-stack: it is at most the tolerance exactly when each factor's max is.
-Reuse keeps the translator exact: every row of M sums to zero, so
-(I - dt*M_old)^-1 1 = 1 for any frozen M_old, and as the right-hand side
+was factored with, up to ``_DT_RTOL`` = 1e-9 relative, and each factor is
+within ``_REFACTOR_TOL`` = 1e-3 of the values it was factored at, in max
+norm; otherwise it assembles and factors I - dt*M afresh.  The dt slack is
+for the rounding of t: the step onto a t_end or snapshot a whole number of
+steps ahead can come out a few ulps short of dt, and it reuses the full
+step's LU.  The factors share their trailing shape, and the flux record
+holds them stacked in one array (FluxTerms.factors), so the test is one
+max over the stack, which a new LU keeps a copy of: it is at most the
+tolerance exactly when each factor's max is.  Reuse keeps the translator
+exact: every row of M sums to zero, so (I - dt'*M_old)^-1 1 = 1 for any
+frozen M_old and any dt' it was factored with, and as the right-hand side
 is the exact dt*F(u), a step on the discrete translator (F = C_h at every
 node) still moves u by exactly C_h dt.  A matrix close to the current one
 changes only how the transient decays; one frozen far from it, at rough
@@ -85,16 +89,18 @@ A step allocates the new ghost-closed array once and writes the updated
 interior straight into it.  It reduces that interior once, to its
 quadrature total (the vdot with Grid.quad_row, whose weights are finite),
 which gives the row's mean and is finite only if every entry is; when it
-overflows, the entries are tested one by one, so a non-finite entry
-raises a SolverError and leaves the state as it was.  It then sets the ghosts in place with
-ops.close_ghosts, the closure of ops.extend_values and ops.ghost_fill.
-The update and the history row run under one np.errstate, which silences
-the warnings of a blow-up the step reports itself; _finish_rows runs under
-its own.  Each field comes with one flux record (``FlowState.terms``, an
-operators.FluxTerms, set together with ``FlowState.field``): the record of
-the new field gives W and c to its history row, and the next step's
-right-hand side and lagged matrix, so the slopes and area elements are
-computed once per step.
+overflows, the entries are tested one by one, so a non-finite entry raises
+a SolverError and leaves the state as it was.  It then sets the ghosts in
+place with ops.close_ghosts, the closure of ops.extend_values and
+ops.ghost_fill.  The warnings of a blow-up, which the step reports itself,
+are silenced by one np.errstate: run_until enters one for its whole run
+and marks the state (``FlowState._quiet``), so that its steps skip their
+own; a step called directly enters its own for its update and history row.
+_finish_rows runs under its own.  Each field comes with one flux record
+(``FlowState.terms``, an operators.FluxTerms, set together with
+``FlowState.field``): the record of the new field gives W and c to its
+history row, and the next step's right-hand side and lagged matrix, so the
+slopes and area elements are computed once per step.
 """
 
 from __future__ import annotations
@@ -112,6 +118,9 @@ from . import operators as ops
 
 # reuse the lagged LU while W, W_f and W_t move less than this (max norm)
 _REFACTOR_TOL = 1e-3
+# a dt within this of a kept LU's, relatively, is its dt short by the rounding
+# of t alone; it moves I - dt*M far less than _REFACTOR_TOL lets the factors
+_DT_RTOL = 1e-9
 # the monitor's K in exp(K (u - C t)); the gradient estimate holds for any K > 0
 _ETA_K = 5.0
 # the explicit step's default dt as a share of the parabolic bound 1 / rate
@@ -194,6 +203,8 @@ class FlowState:
     _block: Optional[np.ndarray] = dc_field(default=None, init=False, repr=False, compare=False)
     _totals: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
     _tau: Optional[float] = dc_field(default=None, init=False, repr=False, compare=False)
+    # set while run_until's one np.errstate covers the steps it takes
+    _quiet: bool = dc_field(default=False, init=False, repr=False, compare=False)
 
     @property
     def t(self) -> float:
@@ -289,15 +300,17 @@ def _add_row(state: FlowState, interior: np.ndarray, total, tau: Optional[float]
         if state._tau is not None:
             _finish_rows(state)
         state._tau = tau
-    if state._block is None:
+    block = state._block
+    if block is None:
         rows = max(1, _BLOCK_NODES // state.grid.n_unknowns)
-        state._block = np.empty((3, rows) + state.grid.shape)
+        block = state._block = np.empty((3, rows) + state.grid.shape)
     k = len(state._totals)  # the rows already waiting
-    u, w, c = state._block
-    u[k], w[k], c[k] = interior, state.terms.w_node, state.terms.c
+    block[0, k] = interior
+    block[1, k] = state.terms.w_node
+    block[2, k] = state.terms.c
     state._totals.append(total)
     state._history.t.append(float(state.field.t))
-    if k + 1 == len(u):
+    if k + 1 == block.shape[1]:
         _finish_rows(state)
 
 
@@ -375,53 +388,63 @@ def step(state: FlowState, policy: StepPolicy, angle: AngleData,
     10 dt).  The row waits on the state with the rows before it and is
     whole at the latest when state.history is next read; a history kept
     from an earlier read gets only its t.  A semi-implicit step reuses a
-    lagged LU of the state while its W factors stay within _REFACTOR_TOL."""
+    lagged LU of the state while its W factors stay within _REFACTOR_TOL.
+    A blow-up raises a SolverError and is not warned: the step runs under
+    its own np.errstate, or under run_until's, which covers its whole run."""
+    if state._quiet:
+        return _advance(state, policy, angle, tau)
+    with np.errstate(all="ignore"):  # blow-up is reported, not warned
+        return _advance(state, policy, angle, tau)
+
+
+def _advance(state: FlowState, policy: StepPolicy, angle: AngleData,
+             tau: Optional[float]) -> FlowState:
+    """step's update and history row, under the caller's np.errstate."""
     grid, field, terms = state.grid, state.field, state.terms
     dt = auto_dt(grid, policy)
     ext = np.empty_like(field.values)
     new_int = ext[1:-1]
 
-    with np.errstate(all="ignore"):  # blow-up is reported, not warned
-        delta = ops.mcf_from_extended(grid, terms)
-        delta *= dt
-        if policy.scheme == "explicit":
-            blow_up = "explicit step produced non-finite values (time step too large)"
-        else:
-            if delta.any():  # else stationary data stay put exactly
-                try:
-                    lu = _lagged_lu(state, terms, angle, dt)
-                    delta = lu.solve(delta.ravel()).reshape(delta.shape)
-                except RuntimeError as exc:
-                    raise SolverError(f"semi-implicit solve failed: {exc}") from exc
-            blow_up = "semi-implicit solve produced non-finite values"
-        np.add(field.interior, delta, out=new_int)
+    delta = ops.mcf_from_extended(grid, terms)
+    delta *= dt
+    if policy.scheme == "explicit":
+        blow_up = "explicit step produced non-finite values (time step too large)"
+    else:
+        if delta.any():  # else stationary data stay put exactly
+            try:
+                lu = _lagged_lu(state, terms, angle, dt)
+                delta = lu.solve(delta.ravel()).reshape(delta.shape)
+            except RuntimeError as exc:
+                raise SolverError(f"semi-implicit solve failed: {exc}") from exc
+        blow_up = "semi-implicit solve produced non-finite values"
+    np.add(field.interior, delta, out=new_int)
 
-        # the row's quadrature total: finite only if every entry is, though
-        # finite entries may overflow it
-        total = np.vdot(grid.quad_row, new_int)
-        if not math.isfinite(total) and not np.isfinite(new_int).all():
-            raise SolverError(blow_up)
-        ops.close_ghosts(grid, ext, angle)  # ghost_fill's closure, on a finite interior
-        state.field, state.terms = Field(ext, field.t + dt), ops.flux_terms(grid, ext)
-        _add_row(state, new_int, total, tau if tau is not None else _WINDOW_STEPS * dt)
+    # the row's quadrature total: finite only if every entry is, though
+    # finite entries may overflow it
+    total = np.vdot(grid.quad_row, new_int)
+    if not math.isfinite(total) and not np.isfinite(new_int).all():
+        raise SolverError(blow_up)
+    ops.close_ghosts(grid, ext, angle)  # ghost_fill's closure, on a finite interior
+    state.field, state.terms = Field(ext, field.t + dt), ops.flux_terms(grid, ext)
+    _add_row(state, new_int, total, tau if tau is not None else _WINDOW_STEPS * dt)
     return state
 
 
 def _lagged_lu(state: FlowState, terms: ops.FluxTerms, angle: AngleData, dt: float):
     """LU of I - dt*M at the flux record terms.  A kept LU is reused if its
-    dt is dt and W, W_f and (disk) W_t are all within _REFACTOR_TOL of the
-    factors it was built at, in max norm; else the matrix is assembled and
-    factored afresh.  The new LU replaces the one of its dt, or else the
-    less recently used one, so a step shortened onto a snapshot or t_end
-    leaves the full step's LU for the step after it, and a run that changes
-    dt for good keeps the LU of its new dt.  The factors are compared as one
-    stacked array (they share their trailing shape), whose max is at most
-    the tol exactly when each factor's is."""
-    factors = np.concatenate((terms.w_node, terms.wf_r) if terms.wf_t is None
-                             else (terms.w_node, terms.wf_r, terms.wf_t))
+    dt is dt, up to a relative _DT_RTOL, and W, W_f and (disk) W_t are all
+    within _REFACTOR_TOL of the factors it was built at, in max norm; else
+    the matrix is assembled and factored afresh.  The new LU replaces the
+    one of its dt, or else the less recently used one, so a step shortened
+    onto a snapshot or t_end leaves the full step's LU for the step after
+    it, and a run that changes dt for good keeps the LU of its new dt.  The
+    factors are compared as the record's one stacked array (terms.factors),
+    whose max is at most the tol exactly when each factor's is; a new LU
+    keeps a copy of it."""
+    factors = terms.factors
     kept = state._lagged
     for k, (lu, dt_ref, ref) in enumerate(kept):
-        if dt_ref == dt:
+        if abs(dt - dt_ref) <= _DT_RTOL * dt_ref:
             if abs(factors - ref).max() <= _REFACTOR_TOL:
                 if k:
                     kept.reverse()  # most recently used first
@@ -431,7 +454,7 @@ def _lagged_lu(state: FlowState, terms: ops.FluxTerms, angle: AngleData, dt: flo
     a_mat = ops.semi_implicit_matrix(state.grid, terms, angle, dt)
     lu = splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1,
               options={"SymmetricMode": True})
-    kept.insert(0, (lu, dt, factors))
+    kept.insert(0, (lu, dt, factors.copy()))
     del kept[2:]
     return lu
 
@@ -447,7 +470,12 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
     are kept every snapshot_interval time units; the step that would cross
     a snapshot time is shortened to land on it, as the last step lands on
     t_end.  It reads the history before it returns or raises its budget's
-    SolverError, which finishes the last rows and frees their block."""
+    SolverError, which finishes the last rows and frees their block.
+
+    The whole run is under one np.errstate, which silences the warnings of
+    a blow-up that a step reports itself as a SolverError; its steps skip
+    their own.  Numpy's error state is the caller's again when it returns
+    or raises.  Each step is one call of the module's step."""
     if t_end is None and speed_tol is None:
         raise ValueError("need a stop criterion: t_end and/or speed_tol")
     if t_end is not None and not math.isfinite(t_end):
@@ -455,13 +483,28 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
     if snapshot_interval is not None and not 0 < snapshot_interval < math.inf:
         raise ValueError(f"snapshot_interval must be positive and finite, "
                          f"got {snapshot_interval!r}")
+    if snapshot_interval is not None and not state.snapshots:
+        state.snapshots.append((state.t, state.field.interior.copy()))
+    state._quiet = True
+    try:
+        with np.errstate(all="ignore"):  # blow-up is reported, not warned
+            _run_steps(state, policy, angle, t_end, speed_tol, max_steps, snapshot_interval)
+    finally:
+        state._quiet = False
+    state.history  # finishes the last rows and frees their block
+    return state
+
+
+def _run_steps(state: FlowState, policy: StepPolicy, angle: AngleData,
+               t_end: Optional[float], speed_tol: Optional[float], max_steps: int,
+               snapshot_interval: Optional[float]) -> None:
+    """run_until's loop, what it reads on every step held in local names;
+    raises the budget's SolverError."""
     dt = auto_dt(state.grid, policy)
     tau = _WINDOW_STEPS * dt
     full_step = replace(policy, dt=dt)
-    t_stop = math.inf if t_end is None else t_end - 1e-12  # no step is taken from here on
-
-    if snapshot_interval is not None and not state.snapshots:
-        state.snapshots.append((state.t, state.field.interior.copy()))
+    t_last = math.inf if t_end is None else t_end
+    t_stop = t_last - 1e-12  # no step is taken from here on
     next_snap = 1
     if snapshot_interval is not None:
         # resume-safe: continue labeling after snapshots already taken
@@ -469,15 +512,15 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
 
     times = state._history.t  # complete while the other columns wait
     for _ in range(max_steps):
-        t = state.t
+        prev = state.field  # the step writes its new field into a new array
+        t = prev.t
         if t >= t_stop:
-            break
-        dt_step = dt if t_end is None else min(dt, t_end - t)
+            return
+        dt_step = min(dt, t_last - t)
         if snapshot_interval is not None:
             dt_step = min(dt_step, next_snap * snapshot_interval - t)
-        prev = state.field  # the step writes its new field into a new array
         # a step shortened to land on t_end or a snapshot gets its own policy
-        step(state, full_step if dt_step == dt else replace(policy, dt=dt_step), angle, tau=tau)
+        step(state, full_step if dt_step == dt else replace(policy, dt=dt_step), angle, tau)
 
         if snapshot_interval is not None:
             while state.t >= next_snap * snapshot_interval - 1e-9:
@@ -488,15 +531,12 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
         # the row's windowed speed is defined once the rows before it span tau
         if speed_tol is not None and len(times) >= 3 and times[-2] - tau >= times[0] - 1e-12:
             du = state.field.interior - prev.interior
-            if (du.max() - du.min()) / (state.t - prev.t) < speed_tol:
-                break
-    else:
-        if state.t < t_stop:  # the last allowed step missed t_end
-            waiting = " and ".join(f"{k} = {v!r}" for k, v in
-                                   (("t_end", t_end), ("speed_tol", speed_tol)) if v is not None)
-            hist = state.history
-            raise SolverError(f"flow stopped at t = {state.t!r} after {max_steps} steps without "
-                              f"reaching {waiting}; last history row "
-                              f"({', '.join(hist.COLUMNS)}) = {hist.row(-1)}")
-    state.history  # finishes the last rows and frees their block
-    return state
+            if (du.max() - du.min()) / (state.t - t) < speed_tol:
+                return
+    if state.t < t_stop:  # the last allowed step missed t_end
+        waiting = " and ".join(f"{k} = {v!r}" for k, v in
+                               (("t_end", t_end), ("speed_tol", speed_tol)) if v is not None)
+        hist = state.history
+        raise SolverError(f"flow stopped at t = {state.t!r} after {max_steps} steps without "
+                          f"reaching {waiting}; last history row "
+                          f"({', '.join(hist.COLUMNS)}) = {hist.row(-1)}")

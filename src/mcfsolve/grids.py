@@ -109,6 +109,11 @@ class Grid:
         steps[:self.n_nodes] = 2.0 * self.h_r
         return steps[:, None] if self.is_disk else steps
 
+    @cached_property
+    def slopes_shape(self) -> tuple:
+        """The shape of flux_terms' stacked slopes: a row per slope_steps entry."""
+        return (2 * self.n_nodes + 1,) + self.shape[1:]
+
 
 def make_grid(geom: Geometry, n_r: int, n_theta: Optional[int] = None) -> Grid:
     """Build the structured grid for a geometry at resolution n_r

@@ -98,33 +98,23 @@ def _roll(a: np.ndarray, shift: int) -> np.ndarray:
     return np.concatenate((a[..., -k:], a[..., :-k]), axis=-1) if k else a.copy()
 
 
-def _normal_slope(grid: Grid, interior: np.ndarray, angle: AngleData):
-    """Closed-form boundary normal derivative(s) p for the ghost closure;
-    AngleData guarantees |phi| < 1, so no guard is needed here.  In 1-D
-    there is no tangential slope, and p is AngleData's cached constant."""
-    if grid.is_disk:
-        du = _roll(interior[-1], -1) - _roll(interior[-1], 1)
-        tang = du / (2.0 * grid.h_theta * grid.sigma_nodes[-1])
-        return _slope_closed_form(angle.phi, tang * tang)
-    return angle.normal_slope
-
-
 def close_ghosts(grid: Grid, ext: np.ndarray, angle: AngleData) -> np.ndarray:
     """Set the ghost layer (and pole mirror) of ext in place from its
     interior rows ext[1:-1], and return ext: the one ghost closure, through
-    which extend_values and flow.step both close their arrays."""
-    interior = ext[1:-1]
-    p = _normal_slope(grid, interior, angle)
+    which extend_values and flow.step both close their arrays.  Each ghost
+    puts the closed-form normal slope p at its boundary node; AngleData
+    guarantees |phi| < 1, so no guard is needed.  In 1-D there is no
+    tangential slope, and p is AngleData's cached constant."""
     h = grid.h_r
-    if grid.geom.kind == "interval":
-        ext[0] = interior[1] - 2.0 * h * p[0]
-        ext[-1] = interior[-2] - 2.0 * h * p[1]
-    elif grid.is_disk:
-        ext[0] = _roll(interior[0], grid.n_theta // 2)  # the antipodal rays
-        ext[-1] = interior[-2] - 2.0 * h * p
-    else:
-        ext[0] = interior[0]
-        ext[-1] = interior[-2] - 2.0 * h * p[0]
+    if grid.is_disk:
+        edge = ext[-2]
+        tang = (_roll(edge, -1) - _roll(edge, 1)) / (2.0 * grid.h_theta * grid.sigma_nodes[-1])
+        ext[0] = _roll(ext[1], grid.n_theta // 2)  # the antipodal rays
+        ext[-1] = ext[-3] - 2.0 * h * _slope_closed_form(angle.phi, tang * tang)
+        return ext
+    p = angle.normal_slope  # (phi_a, phi_b) on the interval, one value on a ball
+    ext[0] = ext[2] - 2.0 * h * p[0] if grid.geom.kind == "interval" else ext[1]
+    ext[-1] = ext[-3] - 2.0 * h * p[-1]
     return ext
 
 
@@ -150,7 +140,9 @@ def ghost_fill(grid: Grid, field: Field, angle: AngleData) -> Field:
 
 
 class FluxTerms(NamedTuple):
-    """The flux-form quantities of one ghost-closed field (see flux_terms)."""
+    """The flux-form quantities of one ghost-closed field (see flux_terms).
+    w_node, wf_r and wf_t view factors, which flow's LU reuse test reads: a
+    record made with another of them needs the matching factors too."""
 
     c: np.ndarray                 # centered radial slope at the nodes
     w_node: np.ndarray            # W at the nodes
@@ -158,6 +150,11 @@ class FluxTerms(NamedTuple):
     wf_r: np.ndarray              # their face factors W_f
     s_t: Optional[np.ndarray]     # disk: angular face slopes
     wf_t: Optional[np.ndarray]    # disk: their face factors W_t
+    factors: np.ndarray           # W, W_f and (disk) W_t stacked, the array they view
+
+
+# a FluxTerms from the tuple of its fields, without the generated __new__'s frame
+_flux_record = functools.partial(tuple.__new__, FluxTerms)
 
 
 def flux_terms(grid: Grid, ext: np.ndarray) -> FluxTerms:
@@ -167,9 +164,10 @@ def flux_terms(grid: Grid, ext: np.ndarray) -> FluxTerms:
     face slopes with their factors W_f; and on the disk the angular face
     slopes with their factors W_t (None in 1-D).  The face fluxes are
     s / W_f; accepts complex input.  c and s_r share one array, as do W,
-    W_f and W_t, so one square, one + 1 and one sqrt serve them all."""
+    W_f and W_t (the record's factors), so one square, one + 1 and one sqrt
+    serve them all."""
     n = len(ext) - 2
-    slopes = np.empty((2 * n + 1,) + ext.shape[1:], np.promote_types(ext.dtype, float))
+    slopes = np.empty(grid.slopes_shape, np.promote_types(ext.dtype, float))
     c, s_r = slopes[:n], slopes[n:]
     np.subtract(ext[2:], ext[:-2], out=c)
     np.subtract(ext[1:], ext[:-1], out=s_r)
@@ -178,7 +176,7 @@ def flux_terms(grid: Grid, ext: np.ndarray) -> FluxTerms:
         roots = slopes * slopes
         roots += 1.0
         np.sqrt(roots, out=roots)
-        return FluxTerms(c, roots[:n], s_r, roots[n:], None, None)
+        return _flux_record((c, roots[:n], s_r, roots[n:], None, None, roots))
     roots = np.empty((3 * n + 1,) + ext.shape[1:], slopes.dtype)  # W, W_f and W_t
     np.multiply(slopes, slopes, out=roots[:2 * n + 1])
     w_node, wf_r, wf_t = roots[:n], roots[n:2 * n + 1], roots[2 * n + 1:]
@@ -196,7 +194,7 @@ def flux_terms(grid: Grid, ext: np.ndarray) -> FluxTerms:
     wf_r += 0.5 * (w2[:-1] + w2[1:])
     wf_t += cbar2
     np.sqrt(roots, out=roots)
-    return FluxTerms(c, w_node, s_r, wf_r, s_t, wf_t)
+    return _flux_record((c, w_node, s_r, wf_r, s_t, wf_t, roots))
 
 
 def _terms(grid: Grid, ext) -> FluxTerms:

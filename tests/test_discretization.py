@@ -164,6 +164,9 @@ def test_flux_record_is_the_formulas(kind, probe):
         else:
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
+    # the stacked factors the lagged LU's reuse test reads: W, W_f, (W_t)
+    stacked = [f for f in (record.w_node, record.wf_r, record.wf_t) if f is not None]
+    assert record.factors.tobytes() == np.concatenate(stacked).tobytes()
 
 
 def test_pole_face_carries_zero_weight():

@@ -62,16 +62,19 @@ class TestStep:
 
     @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
     def test_blow_up_is_an_error_not_a_warning(self, kind):
-        # the step and its history row run under one errstate: a too large
-        # explicit dt ends in a SolverError, with no RuntimeWarning on the way
+        # a step called directly runs under its own errstate: a too large
+        # explicit dt ends in a SolverError, with no RuntimeWarning on the
+        # way, and numpy's error state is the caller's again
         geom, grid, angle = make_problem(kind, phi="const:-0.3")
         r = grid.nodes[:, None] if grid.is_disk else grid.nodes
         st = initial_state(grid, angle, 0.3 * np.cos(2 * np.pi * r))
+        before = np.geterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SolverError, match="time step too large"):
                 for _ in range(200):
                     step(st, StepPolicy("explicit", dt=0.5), angle)
+        assert np.geterr() == before
 
     def test_diverging_stale_matrix_ends_without_warnings(self, monkeypatch):
         # a lagged matrix never refactored lets this noisy start diverge to an
@@ -337,6 +340,43 @@ class TestRunUntil:
                     for t, snap in st.snapshots)
         assert drift <= 1e-6
 
+    @pytest.mark.parametrize("caller", [{}, {"over": "raise"}])
+    @pytest.mark.parametrize("end", ["t_end", "blow_up", "budget"])
+    def test_error_state_is_the_callers_again(self, end, caller, monkeypatch):
+        # the run's steps all take place under its one errstate, all
+        # "ignore": a blow-up is its SolverError, never a warning or a
+        # FloatingPointError, and when the run returns or raises either of
+        # its SolverErrors, numpy's error state is the caller's again
+        geom, grid, angle = make_problem("interval", n_r=64, phi="const:-0.3")
+        st = initial_state(grid, angle, 0.3 * np.cos(2 * np.pi * grid.nodes))
+        seen = []
+        original = flow.step
+
+        def recording(state, pol, angle, tau=None):
+            seen.append((np.geterr(), state._quiet))
+            return original(state, pol, angle, tau)
+
+        monkeypatch.setattr(flow, "step", recording)
+        policy, run = StepPolicy("explicit"), {"t_end": 1e3}
+        if end == "t_end":
+            run = {"t_end": 20 * auto_dt(grid, policy)}
+        elif end == "blow_up":
+            policy = StepPolicy("explicit", dt=0.5)
+        else:
+            run["max_steps"] = 5
+        raised = {"t_end": None, "blow_up": "time step too large", "budget": "after 5 steps"}[end]
+        with warnings.catch_warnings(), np.errstate(**caller):
+            warnings.simplefilter("error", RuntimeWarning)
+            callers = np.geterr()
+            if raised is None:
+                run_until(st, policy, angle, **run)
+            else:
+                with pytest.raises(SolverError, match=raised):
+                    run_until(st, policy, angle, **run)
+            assert np.geterr() == callers
+        assert len(seen) >= 5 and not st._quiet
+        assert all(state == dict.fromkeys(state, "ignore") and quiet for state, quiet in seen)
+
     def test_history_monotone_time(self, grim_setup):
         grid, angle = grim_setup
         st = initial_state(grid, angle, 0.0)
@@ -389,17 +429,20 @@ class TestLaggedReuse:
     @pytest.mark.parametrize("factor", ["w_node", "wf_r", "wf_t"])
     def test_each_factor_is_compared(self, factor, monkeypatch):
         # the next record moves one factor only: by half the default tol the
-        # LU is reused, by twice the tol it is refactored
+        # LU is reused, by twice the tol it is refactored.  The record is the
+        # first field's afresh, its factor shifted in place, so the stacked
+        # factors array that views it moves too
         dts, factored = trace_factorizations(monkeypatch)
         geom, grid, angle = make_problem("polar_disk", phi="fourier:0.1,0.05,0.05")
         rng = np.random.default_rng(11)
         st = initial_state(grid, angle, 0.05 * rng.standard_normal(grid.shape))
         assert flow._REFACTOR_TOL == 1e-3
         policy = StepPolicy()
-        ref = st.terms
+        first = st.field.values
         flow.step(st, policy, angle)
         for shift, refactored in ((0.5e-3, False), (2e-3, True)):
-            st.terms = ref._replace(**{factor: getattr(ref, factor) + shift})
+            st.terms = operators.flux_terms(grid, first)
+            getattr(st.terms, factor)[...] += shift
             flow.step(st, policy, angle)
             assert (factored[-1] == len(dts) - 1) == refactored
 
@@ -414,15 +457,33 @@ class TestLaggedReuse:
     def test_shortened_step_factors_afresh(self, monkeypatch):
         # with a huge tol only a new dt refactors: the step shortened to land on
         # a snapshot or t_end factors its own LU, and the full step after it
-        # reuses the full-dt LU kept across it
+        # reuses the full-dt LU kept across it.  The steps onto 0.66 and 0.99
+        # are the one onto 0.33 but for rounding (3.7e-15 and 1.1e-14 of dt
+        # short), so they reuse its LU; the last step, onto t_end, factors
         dts, factored = trace_factorizations(monkeypatch)
         monkeypatch.setattr(flow, "_REFACTOR_TOL", 1e9)
         geom, grid, angle = make_problem("interval", n_r=40, phi="const:-0.3")
         st = initial_state(grid, angle, lambda x: 0.1 * np.cos(np.pi * x))
         run_until(st, StepPolicy(), angle, t_end=1.0, snapshot_interval=0.33)
         shortened = [k for k in range(len(dts)) if dts[k] != grid.h_r]
-        assert len(shortened) >= 4  # three snapshots and t_end land on shortened steps
-        assert factored == [0] + shortened
+        assert len(shortened) == 4  # three snapshots and t_end land on shortened steps
+        assert dts[shortened[0]] != dts[shortened[1]] != dts[shortened[2]]
+        assert factored == [0, shortened[0], shortened[3]]
+
+    def test_rounding_short_last_step_reuses_the_lu(self, monkeypatch):
+        # five steps of dt = 0.05 to t_end = 0.25: the last is dt less two
+        # ulps, from the rounding of t, and reuses the full-dt LU; a step
+        # shortened onto t_end = 0.26 factors its own
+        dts, factored = trace_factorizations(monkeypatch)
+        monkeypatch.setattr(flow, "_REFACTOR_TOL", 1e9)
+        geom, grid, angle = make_problem("interval", n_r=40, phi="const:-0.3")
+        st = initial_state(grid, angle, lambda x: 0.1 * np.cos(np.pi * x))
+        run_until(st, StepPolicy(), angle, t_end=0.25)
+        assert grid.h_r == 0.05 and dts[:-1] == [0.05] * 4
+        assert dts[-1] == np.nextafter(np.nextafter(0.05, 0.0), 0.0)
+        assert factored == [0] and st.t == 0.25
+        run_until(st, StepPolicy(), angle, t_end=0.26)
+        assert len(dts) == 6 and factored == [0, 5]
 
     @pytest.mark.parametrize("name", ["flat_ball_n2", "disk_fourier"])
     def test_snapshots_leave_the_full_step_lu(self, name, monkeypatch):
