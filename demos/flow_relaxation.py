@@ -2,7 +2,7 @@
 
 Starting from u = 0 on the closed-form interval case, the graph first
 bends to meet the prescribed boundary angle, then settles into rigid
-vertical motion: oscillation of u - u_inf dies out, the windowed speed
+vertical motion: oscillation of u - u_inf dies out, each step's speed
 approaches the translator speed, and the gradient envelope max W levels
 off.  The run stops once a step moves every node alike, to 1e-6 in
 osc(u_new - u_old) / dt, and is then doubled to show the envelope stays

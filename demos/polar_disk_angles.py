@@ -36,6 +36,6 @@ for j, label in ((0, "theta=0"), (12, "theta=pi/2"), (24, "theta=pi"), (36, "the
 print("\nshort flow from u = 0 for cross-checking the speed ...")
 state = initial_state(grid, angle, 0.0)
 run_until(state, StepPolicy(), angle, speed_tol=1e-6)
-print(f"  windowed flow speed at t = {state.t:g}: {state.history.speed[-1]:+.6f}")
+print(f"  last step's flow speed at t = {state.t:g}: {state.history.speed[-1]:+.6f}")
 print(f"  |flow - quadrature|: {abs(state.history.speed[-1] - sol.C_quad):.2e}")
 print(f"  |flow - discrete C_h|: {abs(state.history.speed[-1] - sol.C_h):.2e}")

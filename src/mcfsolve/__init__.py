@@ -13,7 +13,7 @@ from .operators import (capillary_jacobian, capillary_residual, discrete_speed,
                         field_mean, flux_balance, ghost_fill, integrate_boundary,
                         integrate_domain, node_area_element)
 from .flow import (FlowHistory, FlowState, SolverError, StepPolicy, auto_dt,
-                   eta_monitor, initial_state, run_until, speed_estimate, step)
+                   eta_monitor, initial_state, run_until, step)
 from .soliton import (NewtonPolicy, SolitonResult, solve_capillary_eps,
                       solve_soliton, verify_compatibility)
 from .existence import (HypothesisReport, check_existence,

@@ -3,7 +3,7 @@ contraction, and grid-refinement order studies.
 
 The convergence verdict mirrors the qualitative theory: heights settle to
 the translator profile up to an additive constant (checked through the
-oscillation of the difference), the windowed speed matches the discrete
+oscillation of the difference), the last step's speed matches the discrete
 translator speed C_h, and the gradient envelope max W stops growing.
 A flow runs to stationarity on run_until's rule, osc(u_new - u_old) / dt
 below 1e-6, which holds exactly on the discrete translator.
@@ -60,8 +60,8 @@ def verify_convergence(flow_state: FlowState, soliton: SolitonResult,
     """Check a completed flow against a computed translator.
 
     Passes when (a) the final oscillation of u - u_inf is below tol,
-    (b) the windowed speed estimate matches the discrete speed C_h within
-    tol, and (c) max W does not grow over the second half of the run.
+    (b) the last step's speed matches the discrete speed C_h within tol,
+    and (c) max W does not grow over the second half of the run.
     ``drift_trace`` holds max |u - C_h t - u_inf| per snapshot.
     """
     if not tol > 0:

@@ -3,9 +3,10 @@
 Two schemes:
 
 * ``explicit``: forward Euler on the nonlinear operator; dt defaults to
-  _EXPLICIT_SAFETY = 0.4 times the parabolic bound h^2 (the principal
-  coefficient is 1/W^2 <= 1; the disk adds the angular term), and a set
-  dt is taken as it is.
+  _EXPLICIT_SAFETY = 0.4 over Grid.explicit_rate, the operator's largest
+  row weight at W = 1 (the principal coefficient is 1/W^2 <= 1): 1/h^2 on
+  the interval, 2^(n-2)/h^2 at the pole of a flat n-ball, and the disk
+  adds the angular term.  A set dt is taken as it is.
 * ``semi_implicit`` (default): backward Euler on the flux form with W
   factors and boundary normal slopes lagged at the previous step, solved
   in increment form (I - dt*M) du = dt*F(u).  Unconditionally stable for
@@ -46,44 +47,39 @@ new dt.
 
 Each step adds one history row: t; the mean of u (the quadrature of
 operators.integrate_domain over the domain's volume); max W; osc, the max
-minus the min of u; the speed, speed_estimate over the rows before it with
-the window tau = 10 dt (_WINDOW_STEPS steps of the run's dt), NaN while
-those rows do not yet reach back tau; and max W*eta, with eta the weighted
-gradient monitor
+minus the min of u; the speed, the step's own mean-height speed, the
+difference of the row's mean and the one before over their dt (NaN on the
+initial row); and max W*eta, with eta the weighted gradient monitor
 
     eta = exp(K (u - C t)) * (S d + 1 - (phi / W) <grad u, grad d>)
 
 with d the smoothed boundary distance, K = 5 and S = C_d + 2 (the Hessian
-bound of d plus 2) fixed, and C the step's own mean-height speed, the
-difference of the last two means over their dt (0 on the first row, at
-t = 0), so no row waits for the speed window.  The history is the
-empirical record behind the uniform gradient bound and bounded-drift
-checks.
+bound of d plus 2) fixed, and C the row's speed (0 on the initial row).
+The history is the empirical record behind the uniform gradient bound and
+bounded-drift checks.
 
 Rows are finished in blocks, on the state.  A step appends its row's t,
 keeps its interior's quadrature total, and copies its interior, W and c
 into the state's block of waiting rows; _finish_rows fills in the other
 five columns of every waiting row at once (the means from the totals, row
-maxima and minima over a quarter block at a time, the windows by
-searchsorted, max W*eta in eta_monitor's log-space form), bit for bit as a
-block of one row would, when the block is full, when a row of another
-window joins it, and when FlowState.history is read, which also frees the
-block.  The initial row has no window, so it waits with the first step's
-rows.  Until then t runs ahead of the other columns.
+maxima and minima over a quarter block at a time, the speeds from the
+means, max W*eta in eta_monitor's log-space form), bit for bit as a block
+of one row would, when the block is full and when FlowState.history is
+read, which also frees the block.  Until then t runs ahead of the other
+columns.
 
 What does not change from step to step is computed once: per flow, in
 initial_state, the monitor's S d + 1 and phi d' (the extension of phi
 times the distance derivative), kept on the FlowState; per grid, the
-quadrature total (``Grid.quad_total``); per angle, the 1-D ghost
-closure's normal slope (``AngleData.normal_slope``).
+quadrature total (``Grid.quad_total``) and the explicit rate
+(``Grid.explicit_rate``); per angle, the 1-D ghost closure's normal slope
+(``AngleData.normal_slope``).
 
-run_until's speed_tol stops the run on a windowless measure, osc(u_new -
-u_old) / dt of the last step: exactly 0 on the discrete translator, where
-a step moves every node by C_h dt, so a flow stops at the rate it decays,
-whatever dt.  run_until takes it from the previous field's interior (a
-step writes its new field into a new array), only when speed_tol is set,
-and once the row's windowed speed is defined, which it reads off the
-times: the rows before it must span tau.
+run_until's speed_tol stops the run on osc(u_new - u_old) / dt of the
+last step: exactly 0 on the discrete translator, where a step moves every
+node by C_h dt, so a flow stops at the rate it decays, whatever dt.
+run_until takes it from the previous field's interior (a step writes its
+new field into a new array), and only when speed_tol is set.
 
 A step allocates the new ghost-closed array once and writes the updated
 interior straight into it.  It reduces that interior once, to its
@@ -105,7 +101,6 @@ slopes and area elements are computed once per step.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from typing import ClassVar, List, Optional, Tuple
@@ -125,8 +120,6 @@ _DT_RTOL = 1e-9
 _ETA_K = 5.0
 # the explicit step's default dt as a share of the parabolic bound 1 / rate
 _EXPLICIT_SAFETY = 0.4
-# the speed column's window tau, in steps of the run's dt
-_WINDOW_STEPS = 10
 # node values of each field a block of waiting rows holds (interior, W, c),
 # so a block holds 256 rows on a 64-node interval and 10 on the 40 x 40 disk
 _BLOCK_NODES = 2 ** 14
@@ -140,7 +133,6 @@ __all__ = [
     "auto_dt",
     "step",
     "run_until",
-    "speed_estimate",
     "eta_monitor",
 ]
 
@@ -198,11 +190,9 @@ class FlowState:
     # up to two lagged LUs of distinct dt, most recently used first, each with
     # its dt and the stacked W factors it was factored at
     _lagged: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
-    # the waiting rows' buffers of interior, W and c (_add_row), their
-    # quadrature totals, and their window, None on the initial row
+    # the waiting rows' buffers of interior, W and c (_add_row), and their totals
     _block: Optional[np.ndarray] = dc_field(default=None, init=False, repr=False, compare=False)
     _totals: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
-    _tau: Optional[float] = dc_field(default=None, init=False, repr=False, compare=False)
     # set while run_until's one np.errstate covers the steps it takes
     _quiet: bool = dc_field(default=False, init=False, repr=False, compare=False)
 
@@ -224,10 +214,7 @@ def auto_dt(grid: Grid, policy: StepPolicy) -> float:
         return policy.dt
     if policy.scheme == "semi_implicit":
         return grid.h_r
-    rate = 1.0 / grid.h_r ** 2
-    if grid.is_disk:
-        rate += 1.0 / (grid.sigma_nodes[0] * grid.h_theta) ** 2
-    return _EXPLICIT_SAFETY / rate
+    return _EXPLICIT_SAFETY / grid.explicit_rate
 
 
 def _monitor_terms(grid: Grid, angle: AngleData):
@@ -272,34 +259,12 @@ def _log_weta(w, c, u, monitor, in_place: bool = False) -> np.ndarray:
     return log_weta
 
 
-def speed_estimate(history: FlowHistory, tau: float) -> float:
-    """Windowed mean-height velocity (mean u(t) - mean u(t - tau)) / tau."""
-    if len(history) < 2:
-        raise ValueError("insufficient history for a speed estimate")
-    if history.t[-1] - tau < history.t[0] - 1e-12:
-        raise ValueError("insufficient history for the requested window")
-    times, means = history.t, history.mean_u
-    k = _window_start(times, times[-1] - tau)
-    return (means[-1] - means[k]) / (times[-1] - times[k])
-
-
-def _window_start(t: List[float], target: float) -> int:
-    """First index with t >= target (1e-12 slack), at most len(t) - 2;
-    bisection keeps the lookup O(log n) in the history length."""
-    return min(bisect.bisect_left(t, target + 1e-12), len(t) - 2)
-
-
-def _add_row(state: FlowState, interior: np.ndarray, total, tau: Optional[float]) -> None:
+def _add_row(state: FlowState, interior: np.ndarray, total) -> None:
     """Start the history row of the state's new field: append its t and its
     interior's quadrature total (the vdot with Grid.quad_row), and copy its
     interior, W and c into the state's block of waiting rows, allocated if
-    there is none.  tau is the row's window, None on the initial row.  The
-    waiting rows are finished (_finish_rows) first if they have another
-    window, and with this row if it fills the block."""
-    if tau != state._tau:
-        if state._tau is not None:
-            _finish_rows(state)
-        state._tau = tau
+    there is none.  The waiting rows are finished (_finish_rows) with this
+    row if it fills the block."""
     block = state._block
     if block is None:
         rows = max(1, _BLOCK_NODES // state.grid.n_unknowns)
@@ -317,13 +282,11 @@ def _add_row(state: FlowState, interior: np.ndarray, total, tau: Optional[float]
 def _finish_rows(state: FlowState) -> None:
     """Fill in mean_u, max_w, osc_u, speed and max_weta of the history rows
     past the last finished one, from their quadrature totals and their
-    interior, W and c in the state's block (overwritten), under their
-    window tau.  A row's mean is its total over Grid.quad_total, its osc
-    the max minus the min of its interior, its speed speed_estimate's over
-    the rows before it, its window found by searchsorted under
-    _window_start's slack and cap, NaN while they do not span tau; its
-    monitor's C is the difference of its mean and the one before over
-    their dt (0 on the first row)."""
+    interior, W and c in the state's block (overwritten).  A row's mean is
+    its total over Grid.quad_total, its osc the max minus the min of its
+    interior, and its speed the difference of its mean and the one before
+    over their dt (NaN on the initial row), which is also its monitor's C
+    (0 on the initial row)."""
     totals, m = state._totals, len(state._totals)
     if not m:
         return
@@ -331,8 +294,6 @@ def _finish_rows(state: FlowState) -> None:
     grid, hist = state.grid, state._history
     times, means = hist.t, hist.mean_u
     first = len(means)
-    # the initial row alone has no window: its speed is NaN and C 0 at any tau
-    tau = math.inf if state._tau is None else state._tau
     u, w, c = state._block[:, :m]
     # the elementwise work runs on a quarter block at a time: over a whole
     # block at once it slowed the steps after it (the disk's flow by 14%, on
@@ -350,22 +311,13 @@ def _finish_rows(state: FlowState) -> None:
             log_peak[i:j] = log_weta.reshape(j - i, -1).max(axis=1)
         hist.max_w.extend(max_w.tolist())
         hist.osc_u.extend(osc.tolist())
-        # times and means from row k0, the earliest that a window of the rows
-        # before the block's reaches; a row's speed is over the rows before it
-        k0 = max(0, min(bisect.bisect_left(times, times[first - 1] - tau + 1e-12), first - 2))
-        t, mu = np.array(times[k0:]), np.array(means[k0:])
-        rows = np.arange(first, len(times))
-        # the row before each, and its window's start (clipped on rows 0 and 1,
-        # whose speed is NaN)
-        prev = np.maximum(rows - k0 - 1, 0)
-        t_prev, mu_prev = t[prev], mu[prev]
-        start = np.maximum(np.minimum(np.searchsorted(t, t_prev - tau + 1e-12), prev - 1), 0)
-        spans = (rows >= 2) & (t_prev - tau >= times[0] - 1e-12)
-        spd = (mu_prev - mu[start]) / (t_prev - t[start])
-        hist.speed.extend(np.where(spans, spd, math.nan).tolist())
-        t_row = t[first - k0:]
-        c_step = np.where(rows >= 1, (mu[first - k0:] - mu_prev) / (t_row - t_prev), 0.0)
-        hist.max_weta.extend(np.exp(log_peak - _ETA_K * c_step * t_row).tolist())
+        # times and means from the row before the block's first, if any
+        k0 = max(first - 1, 0)
+        t = np.array(times[k0:])
+        spd = np.diff(np.array(means[k0:])) / np.diff(t)
+        hist.speed.extend(spd.tolist() if first else [math.nan] + spd.tolist())
+        c_step = spd if first else np.concatenate(([0.0], spd))
+        hist.max_weta.extend(np.exp(log_peak - _ETA_K * c_step * t[-m:]).tolist())
 
 
 def initial_state(grid: Grid, angle: AngleData, u0=0.0) -> FlowState:
@@ -377,28 +329,26 @@ def initial_state(grid: Grid, angle: AngleData, u0=0.0) -> FlowState:
     f = ops.ghost_fill(grid, make_field(grid, u0, t=0.0), angle)
     state = FlowState(grid=grid, field=f, terms=ops.flux_terms(grid, f.values),
                       monitor=_monitor_terms(grid, angle))
-    _add_row(state, f.interior, np.vdot(grid.quad_row, f.interior), None)
+    _add_row(state, f.interior, np.vdot(grid.quad_row, f.interior))
     return state
 
 
-def step(state: FlowState, policy: StepPolicy, angle: AngleData,
-         tau: Optional[float] = None) -> FlowState:
+def step(state: FlowState, policy: StepPolicy, angle: AngleData) -> FlowState:
     """Advance one time step; returns the same FlowState with new field and
-    an appended history row, whose speed has the window tau (by default
-    10 dt).  The row waits on the state with the rows before it and is
-    whole at the latest when state.history is next read; a history kept
-    from an earlier read gets only its t.  A semi-implicit step reuses a
-    lagged LU of the state while its W factors stay within _REFACTOR_TOL.
-    A blow-up raises a SolverError and is not warned: the step runs under
-    its own np.errstate, or under run_until's, which covers its whole run."""
+    an appended history row.  The row waits on the state with the rows
+    before it and is whole at the latest when state.history is next read;
+    a history kept from an earlier read gets only its t.  A semi-implicit
+    step reuses a lagged LU of the state while its W factors stay within
+    _REFACTOR_TOL.  A blow-up raises a SolverError and is not warned: the
+    step runs under its own np.errstate, or under run_until's, which covers
+    its whole run."""
     if state._quiet:
-        return _advance(state, policy, angle, tau)
+        return _advance(state, policy, angle)
     with np.errstate(all="ignore"):  # blow-up is reported, not warned
-        return _advance(state, policy, angle, tau)
+        return _advance(state, policy, angle)
 
 
-def _advance(state: FlowState, policy: StepPolicy, angle: AngleData,
-             tau: Optional[float]) -> FlowState:
+def _advance(state: FlowState, policy: StepPolicy, angle: AngleData) -> FlowState:
     """step's update and history row, under the caller's np.errstate."""
     grid, field, terms = state.grid, state.field, state.terms
     dt = auto_dt(grid, policy)
@@ -426,7 +376,7 @@ def _advance(state: FlowState, policy: StepPolicy, angle: AngleData,
         raise SolverError(blow_up)
     ops.close_ghosts(grid, ext, angle)  # ghost_fill's closure, on a finite interior
     state.field, state.terms = Field(ext, field.t + dt), ops.flux_terms(grid, ext)
-    _add_row(state, new_int, total, tau if tau is not None else _WINDOW_STEPS * dt)
+    _add_row(state, new_int, total)
     return state
 
 
@@ -464,13 +414,14 @@ def run_until(state: FlowState, policy: StepPolicy, angle: AngleData,
               max_steps: int = 10_000_000,
               snapshot_interval: Optional[float] = None) -> FlowState:
     """Iterate the flow until t_end, or until it is stationary: the last
-    step's velocity has oscillation osc(u_new - u_old) / dt < speed_tol and
-    its row's windowed speed (tau = 10 dt) is defined, that is, the rows
-    before it span tau (see the module docstring).  Snapshots of the field
-    are kept every snapshot_interval time units; the step that would cross
-    a snapshot time is shortened to land on it, as the last step lands on
-    t_end.  It reads the history before it returns or raises its budget's
-    SolverError, which finishes the last rows and frees their block.
+    step's velocity has oscillation osc(u_new - u_old) / dt < speed_tol
+    (see the module docstring).  The rule applies from the first step, so
+    the shortest run is one step, which is what a flow started on the
+    discrete translator takes.  Snapshots of the field are kept every
+    snapshot_interval time units; the step that would cross a snapshot
+    time is shortened to land on it, as the last step lands on t_end.  It
+    reads the history before it returns or raises its budget's SolverError,
+    which finishes the last rows and frees their block.
 
     The whole run is under one np.errstate, which silences the warnings of
     a blow-up that a step reports itself as a SolverError; its steps skip
@@ -501,7 +452,6 @@ def _run_steps(state: FlowState, policy: StepPolicy, angle: AngleData,
     """run_until's loop, what it reads on every step held in local names;
     raises the budget's SolverError."""
     dt = auto_dt(state.grid, policy)
-    tau = _WINDOW_STEPS * dt
     full_step = replace(policy, dt=dt)
     t_last = math.inf if t_end is None else t_end
     t_stop = t_last - 1e-12  # no step is taken from here on
@@ -510,7 +460,6 @@ def _run_steps(state: FlowState, policy: StepPolicy, angle: AngleData,
         # resume-safe: continue labeling after snapshots already taken
         next_snap = int(math.floor((state.t + 1e-9) / snapshot_interval)) + 1
 
-    times = state._history.t  # complete while the other columns wait
     for _ in range(max_steps):
         prev = state.field  # the step writes its new field into a new array
         t = prev.t
@@ -520,7 +469,7 @@ def _run_steps(state: FlowState, policy: StepPolicy, angle: AngleData,
         if snapshot_interval is not None:
             dt_step = min(dt_step, next_snap * snapshot_interval - t)
         # a step shortened to land on t_end or a snapshot gets its own policy
-        step(state, full_step if dt_step == dt else replace(policy, dt=dt_step), angle, tau)
+        step(state, full_step if dt_step == dt else replace(policy, dt=dt_step), angle)
 
         if snapshot_interval is not None:
             while state.t >= next_snap * snapshot_interval - 1e-9:
@@ -528,8 +477,7 @@ def _run_steps(state: FlowState, policy: StepPolicy, angle: AngleData,
                                         state.field.interior.copy()))
                 next_snap += 1
 
-        # the row's windowed speed is defined once the rows before it span tau
-        if speed_tol is not None and len(times) >= 3 and times[-2] - tau >= times[0] - 1e-12:
+        if speed_tol is not None:
             du = state.field.interior - prev.interior
             if (du.max() - du.min()) / (state.t - t) < speed_tol:
                 return

@@ -103,6 +103,19 @@ class Grid:
         return self.op_weights[:, None] * self.h_theta if self.is_disk else self.op_weights
 
     @cached_property
+    def explicit_rate(self) -> float:
+        """The flux operator's largest row weight at W = 1, the explicit
+        step's parabolic rate: the max over the nodes of (sigma_{i-1/2} +
+        sigma_{i+1/2}) / (2 sigma_i h_r^2), plus 1 / (sigma_i h_theta)^2 on
+        the disk, half the diagonal of the lagged matrix's M at W = 1.
+        Exactly 1 / h_r^2 on the interval; computed once per grid."""
+        faces = self.sigma_faces[:-1] + self.sigma_faces[1:]
+        rate = faces / (2.0 * self.sigma_nodes) / self.h_r ** 2
+        if self.is_disk:
+            rate += 1.0 / (self.sigma_nodes * self.h_theta) ** 2
+        return float(rate.max())
+
+    @cached_property
     def slope_steps(self) -> np.ndarray:
         """2 h_r for each node's centered slope, then h_r for each face's (flux_terms)."""
         steps = np.full(2 * self.n_nodes + 1, self.h_r)

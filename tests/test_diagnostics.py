@@ -22,9 +22,9 @@ def grim_verified():
 
 
 def test_run_to_stationarity_stops_at_1e_6_and_doubles(grim_verified, monkeypatch):
-    # run_until's rule, osc(u_new - u_old) / dt < 1e-6 on a row whose windowed
-    # speed (tau = 10 dt) is defined, holds first at t_stat, and the run goes
-    # on to 2 t_stat; each step's fields are recorded as the run takes it
+    # run_until's rule, osc(u_new - u_old) / dt < 1e-6, holds first at t_stat,
+    # and the run goes on to 2 t_stat; each step's fields are recorded as the
+    # run takes it
     grid, angle, _, verified, verified_t_stat = grim_verified
     pairs = []
     original = flow.step
@@ -42,16 +42,21 @@ def test_run_to_stationarity_stops_at_1e_6_and_doubles(grim_verified, monkeypatc
     assert t_stat < 2.0  # no window of 1 time unit or more: it stops at the flow's own rate
     hist = state.history
     assert len(pairs) == len(hist) - 1
-    # a row's speed is taken over the rows before it, so it is defined from
-    # the row after the first that lies tau = 10 dt past the start
-    tau = 10.0 * auto_dt(grid, StepPolicy())
-    first = next(k for k, t in enumerate(hist.t) if t >= tau - 1e-12) + 1
-    assert np.isnan(hist.speed[first - 1]) and np.isfinite(hist.speed[first])
+    # every row's speed is its own step's, across both runs and the steps
+    # shortened onto the snapshots every 0.5, and its monitor's C
+    dt = auto_dt(grid, StepPolicy())
+    assert any(new.t - old.t < dt for old, new in pairs)
+    assert np.isnan(hist.speed[0])
+    assert hist.max_weta[0] == eta_monitor(grid, pairs[0][0], angle, C=0.0)[0]
+    for i, (old, new) in enumerate(pairs, 1):
+        mean_step = hist.mean_u[i] - hist.mean_u[i - 1]
+        assert hist.speed[i] == mean_step / (new.t - old.t), i
+        assert hist.max_weta[i] == eta_monitor(grid, new, angle, C=hist.speed[i])[0], i
 
     def stationary(i):
         old, new = pairs[i - 1]
         du = new.interior - old.interior
-        return not np.isnan(hist.speed[i]) and (du.max() - du.min()) / (new.t - old.t) < 1e-6
+        return (du.max() - du.min()) / (new.t - old.t) < 1e-6
 
     i_stat = hist.t.index(t_stat)
     assert stationary(i_stat)
@@ -73,10 +78,9 @@ def catalog_flows():
 
 @pytest.mark.parametrize("name", [name for name, _ in catalog_cases()])
 def test_speed_at_the_stop_and_the_end_is_the_discrete_speed(catalog_flows, name):
-    # the windowed speed of the row where run_until stopped is C_h within the
-    # stop rule's tolerance (its window still holds earlier, faster steps;
-    # the catalog reads at most 4.8e-9), and at the end of the doubled run
-    # it is C_h up to rounding
+    # the speed of the step where run_until stopped is C_h within the stop
+    # rule's tolerance (the catalog reads at most 1.3e-9), and at the end of
+    # the doubled run it is C_h up to rounding
     _, sol, state, t_stat = catalog_flows[name]
     speed = state.history.speed
     assert abs(speed[state.history.t.index(t_stat)] - sol.C_h) <= diagnostics._STATIONARY_SPEED_TOL
@@ -103,7 +107,7 @@ def test_final_gradient_monitor_is_the_translators(catalog_flows, name):
     grid, sol, state, _ = catalog_flows[name]
     _, _, angle = build_problem(parse_config(dict(catalog_cases())[name]))
     hist = state.history
-    c_step = (hist.mean_u[-1] - hist.mean_u[-2]) / (hist.t[-1] - hist.t[-2])
+    c_step = hist.speed[-1]
     shifted = Field(sol.u_inf.values + (hist.mean_u[-1] - c_step * hist.t[-1]), hist.t[-1])
     want, _ = eta_monitor(grid, shifted, angle, C=0.0)
     assert hist.max_weta[-1] == pytest.approx(want, rel=1e-9)

@@ -3,14 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st_
 
 from mcfsolve import (AngleData, Field, SolverError, StepPolicy, auto_dt, build_problem,
-                      catalog_cases, eta_monitor, field_mean, ghost_fill, initial_state,
-                      make_field, make_grid, parse_config, run_to_stationarity, run_until,
-                      solve_soliton, speed_estimate, step, verify_convergence)
+                      capillary_jacobian, catalog_cases, eta_monitor, field_mean, ghost_fill,
+                      initial_state, make_field, make_grid, parse_config, run_to_stationarity,
+                      run_until, solve_soliton, step, verify_convergence)
 from mcfsolve import flow, grids, operators
-from mcfsolve.flow import FlowHistory, _window_start
 from mcfsolve.geometry import Geometry
 
 from conftest import PHI_GRIM, make_problem
@@ -230,8 +228,48 @@ class TestStep:
     def test_auto_dt(self):
         geom, grid, angle = make_problem("interval", n_r=100)
         assert auto_dt(grid, StepPolicy("semi_implicit")) == grid.h_r
-        assert auto_dt(grid, StepPolicy("explicit")) == pytest.approx(0.4 * grid.h_r ** 2)
+        assert auto_dt(grid, StepPolicy("explicit")) == 0.4 / (1.0 / grid.h_r ** 2)
         assert auto_dt(grid, StepPolicy("explicit", dt=1e-5)) == 1e-5
+        # the pole row of a flat 3-ball weighs twice an interval's
+        geom, grid, angle = make_problem("radial_ball", n=3, n_r=40)
+        assert auto_dt(grid, StepPolicy()) == grid.h_r
+        assert auto_dt(grid, StepPolicy("explicit")) == pytest.approx(0.2 * grid.h_r ** 2,
+                                                                      rel=1e-14)
+        # the disk's ring 0 adds its angular term
+        geom, grid, angle = make_problem("polar_disk", n_r=24, n_theta=16)
+        rate = 1.0 / grid.h_r ** 2 + 1.0 / (grid.sigma_nodes[0] * grid.h_theta) ** 2
+        assert auto_dt(grid, StepPolicy("explicit")) == pytest.approx(0.4 / rate, rel=1e-14)
+        # on every grid, the explicit rate is half the largest diagonal of the
+        # lagged operator M at u = 0, where W = 1
+        for kind in ("interval", "radial_ball", "polar_disk"):
+            geom, grid, angle = make_problem(kind)
+            ext = initial_state(grid, angle, 0.0).field.values
+            m_diag = operators.semi_implicit_matrix(grid, ext, angle, 1.0).diagonal() - 1.0
+            assert auto_dt(grid, StepPolicy("explicit")) == pytest.approx(
+                0.4 / (0.5 * m_diag.max()), rel=1e-14)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("curvature", [{"model": "flat"}, {"model": "hyperbolic", "K": 1.0}],
+                             ids=["flat", "hyperbolic"])
+    def test_explicit_dt_keeps_the_diagonal_nonnegative(self, curvature, n, phi):
+        # forward Euler's I + dt J at u = 0 has no negative diagonal entry at
+        # the default explicit dt, the pole row of an n-ball included
+        geom, grid, angle = make_problem("radial_ball", n=n, n_r=32, curvature=curvature,
+                                         phi=f"const:{phi!r}")
+        jac = capillary_jacobian(grid, np.zeros(grid.shape), angle, 0.0)
+        assert (1.0 + auto_dt(grid, StepPolicy("explicit")) * jac.diagonal()).min() >= 0.0
+
+    def test_explicit_run_on_a_5_ball_stays_bounded(self):
+        geom, grid, angle = make_problem("radial_ball", n=5, n_r=32, phi="const:0.3")
+        st = initial_state(grid, angle, 0.01 * np.cos(np.pi * grid.nodes))
+        policy = StepPolicy("explicit")
+        for _ in range(2000):
+            step(st, policy, angle)
+        hist = st.history
+        assert len(hist) == 2001
+        # W settles at the boundary's 1 / sqrt(1 - phi^2) = 1.048
+        assert max(hist.max_w) < 1.1 and max(hist.osc_u) < 0.2
 
     def test_comparison_principle(self):
         geom, grid, angle = make_problem("interval", n_r=64, phi="const:-0.3")
@@ -352,9 +390,9 @@ class TestRunUntil:
         seen = []
         original = flow.step
 
-        def recording(state, pol, angle, tau=None):
+        def recording(state, pol, angle):
             seen.append((np.geterr(), state._quiet))
-            return original(state, pol, angle, tau)
+            return original(state, pol, angle)
 
         monkeypatch.setattr(flow, "step", recording)
         policy, run = StepPolicy("explicit"), {"t_end": 1e3}
@@ -545,45 +583,46 @@ def history_bits(hist):
     return [np.asarray(column, dtype=float).tobytes() for column in history_columns(hist)]
 
 
-def check_history_rows(kind, scheme, tau=None):
-    """Run a flow for 1.5 windows and compare every column of every history
+def check_speed_column(hist):
+    """Every row's speed is its own step's, the difference of its mean and
+    the one before over their dt, bit for bit, and NaN on the initial row."""
+    speeds, means, times = hist.speed, hist.mean_u, hist.t
+    assert math.isnan(speeds[0])
+    for k in range(1, len(hist)):
+        assert speeds[k] == (means[k] - means[k - 1]) / (times[k] - times[k - 1]), k
+
+
+def check_history_rows(kind, scheme):
+    """Run a flow for 15 steps and compare every column of every history
     row, bit for bit, with the public functions: the field's mean and
-    oscillation, max W, the speed over the earlier rows (NaN until they span
-    the window, by default 10 dt) and the monitor at the step's own speed,
-    the difference of the last two means over their dt (0 on the first row)."""
+    oscillation, max W, the step's own speed, the difference of the row's
+    mean and the one before over their dt (NaN on the first row), and the
+    monitor at that speed (0 on the first row)."""
     geom, grid, angle = make_problem(kind, phi="const:-0.2")
     rng = np.random.default_rng(17)
     st = initial_state(grid, angle, 0.05 * rng.standard_normal(grid.shape))
     policy = StepPolicy(scheme)
-    window = tau if tau is not None else 10.0 * auto_dt(grid, policy)
     fields = [st.field]
-    while st.t < 1.5 * window or len(fields) < 5:
-        step(st, policy, angle, tau=tau)
+    for _ in range(15):
+        step(st, policy, angle)
         fields.append(st.field)
     hist = st.history
     assert len(hist) == len(fields)
-    earlier = FlowHistory()
+    means = []
     for k, f in enumerate(fields):
-        try:
-            spd = speed_estimate(earlier, window)
-        except ValueError:
-            spd = np.nan
         interior = f.interior
         row = (hist.t[k], hist.mean_u[k], hist.max_w[k], hist.osc_u[k], hist.speed[k],
                hist.max_weta[k])
-        mean = operators.integrate_domain(grid, f) / grid.quad_total
-        c_step = (mean - earlier.mean_u[-1]) / (f.t - earlier.t[-1]) if k else 0.0
-        want = (f.t, mean, operators.node_area_element(grid, f.values).max(),
+        means.append(operators.integrate_domain(grid, f) / grid.quad_total)
+        spd = (means[k] - means[k - 1]) / (f.t - fields[k - 1].t) if k else math.nan
+        want = (f.t, means[k], operators.node_area_element(grid, f.values).max(),
                 interior.max() - interior.min(), spd,
-                eta_monitor(grid, f, angle, C=c_step)[0])
+                eta_monitor(grid, f, angle, C=spd if k else 0.0)[0])
         assert row[:4] == want[:4] and row[5] == want[5], k
-        assert row[4] == want[4] or (np.isnan(row[4]) and np.isnan(want[4])), k
+        assert row[4] == want[4] or (k == 0 and math.isnan(row[4])), k
         assert all(type(v) is float for v in row), k
-        for column, v in zip((earlier.t, earlier.mean_u, earlier.max_w, earlier.osc_u,
-                              earlier.speed, earlier.max_weta), row):
-            column.append(v)
-    speeds = np.asarray(hist.speed)
-    assert np.isnan(speeds[0]) and np.isfinite(speeds[-1])
+    check_speed_column(hist)
+    assert np.isfinite(hist.speed[1:]).all()
 
 
 class TestHistoryRow:
@@ -596,14 +635,7 @@ class TestHistoryRow:
 
     @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
     def test_explicit_row_is_the_public_functions(self, kind):
-        # a window of 20 explicit steps, so that the speed column fills
-        geom, grid, angle = make_problem(kind)
-        check_history_rows(kind, "explicit", tau=20 * auto_dt(grid, StepPolicy("explicit")))
-
-    def test_window_shorter_than_a_step(self):
-        # the window's start is capped at the row before the last
-        geom, grid, angle = make_problem("interval")
-        check_history_rows("interval", "semi_implicit", tau=0.5 * auto_dt(grid, StepPolicy()))
+        check_history_rows(kind, "explicit")
 
     @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
     @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
@@ -612,7 +644,8 @@ class TestHistoryRow:
         # of 2), the initial row with the first steps': across block
         # boundaries, steps shortened onto snapshots and a resumed run, every
         # row is the one the same steps give when a history read after each
-        # step finishes its row alone, bit for bit
+        # step finishes its row alone, bit for bit, and its speed is its own
+        # step's
         geom, grid, angle = make_problem(kind, phi="const:-0.2")
         u0 = 0.05 * np.random.default_rng(3).standard_normal(grid.shape)
         policy = StepPolicy(scheme)
@@ -621,9 +654,9 @@ class TestHistoryRow:
         taken, blocks = [], []
         original_step, original_finish = flow.step, flow._finish_rows
 
-        def recording(state, pol, angle, tau=None):
-            taken.append((pol, tau))
-            return original_step(state, pol, angle, tau=tau)
+        def recording(state, pol, angle):
+            taken.append(pol)
+            return original_step(state, pol, angle)
 
         def finishing(state):
             waiting = len(state._history.t) - len(state._history.mean_u)
@@ -637,17 +670,17 @@ class TestHistoryRow:
         run_until(st, policy, angle, t_end=11.5 * dt, snapshot_interval=2.5 * dt)
         run_until(st, policy, angle, t_end=27.0 * dt, snapshot_interval=2.5 * dt)
         assert len(taken) == len(st.history) - 1 > 27
-        assert sum(pol.dt != dt for pol, _ in taken) >= 8  # landed on snapshots
+        assert sum(pol.dt != dt for pol in taken) >= 8  # landed on snapshots
         # full blocks of 9, the first with the initial row, and each run's last rows
         assert blocks[0] == 9 and blocks.count(9) >= 2 and sum(blocks) == len(st.history)
 
         alone = initial_state(grid, angle, u0)
-        for pol, tau in taken:
+        for pol in taken:
             alone.history
-            original_step(alone, pol, angle, tau=tau)
+            original_step(alone, pol, angle)
         assert history_bits(st.history) == history_bits(alone.history)
         assert all(type(v) is float for column in history_columns(st.history) for v in column)
-        assert np.isfinite(st.history.speed[-1])
+        check_speed_column(st.history)
 
     def test_lone_steps_wait_for_the_read(self, monkeypatch):
         # a loop of steps leaves its rows on the state, as run_until does: a
@@ -676,25 +709,25 @@ class TestHistoryRow:
         assert st._block is None
 
     @pytest.mark.parametrize("kind", ["interval", "radial_ball", "polar_disk"])
-    def test_window_change_finishes_the_waiting_rows(self, kind):
-        # steps whose window alternates between 10 dt and 20 dt, in runs of 1
-        # to 4 steps: a row of another window finishes the rows waiting
-        # before it joins, so every row is the one the same steps give when
-        # each row is finished alone, bit for bit
+    def test_step_size_change_keeps_rows_whole(self, kind, monkeypatch):
+        # steps whose dt alternates between dt and dt / 2, in runs of 1 to 4
+        # steps, in blocks of 7 rows: every row is the one the same steps give
+        # when each row is finished alone, bit for bit, and each row's speed
+        # is over its own step, across the blocks and the changes of dt
         geom, grid, angle = make_problem(kind, phi="const:-0.2")
         u0 = 0.05 * np.random.default_rng(11).standard_normal(grid.shape)
-        policy = StepPolicy("explicit")
-        dt = auto_dt(grid, policy)
-        taus = [tau for run in range(20) for tau in [(10, 20)[run % 2] * dt] * (1 + run % 4)]
+        dt = auto_dt(grid, StepPolicy("explicit"))
+        monkeypatch.setattr(flow, "_BLOCK_NODES", 7 * grid.n_unknowns)
+        policies = [pol for run in range(20)
+                    for pol in [StepPolicy("explicit", dt=(1.0, 0.5)[run % 2] * dt)] * (1 + run % 4)]
         st, alone = initial_state(grid, angle, u0), initial_state(grid, angle, u0)
-        for tau in taus:
-            step(st, policy, angle, tau=tau)
+        for pol in policies:
+            step(st, pol, angle)
             alone.history
-            step(alone, policy, angle, tau=tau)
-        assert 1 < len(st._history.mean_u) < len(st._history.t)  # finished on window changes
+            step(alone, pol, angle)
+        assert 1 < len(st._history.mean_u) < len(st._history.t)  # finished in blocks
         assert history_bits(st.history) == history_bits(alone.history)
-        speeds = np.asarray(st.history.speed)
-        assert np.isfinite(speeds[-1]) and np.isnan(speeds[20])  # 20 dt is not yet spanned
+        check_speed_column(st.history)
 
     def test_error_inside_a_block_leaves_whole_rows(self):
         # a step that blows up inside run_until's first block: read after the
@@ -718,7 +751,7 @@ class TestHistoryRow:
         with pytest.raises(SolverError, match="time step too large"):
             for _ in range(len(hist)):
                 alone.history  # finishes the row before it alone
-                step(alone, policy, angle, tau=10 * policy.dt)
+                step(alone, policy, angle)
         assert history_bits(hist) == history_bits(alone.history)
 
 
@@ -729,45 +762,7 @@ class TestSpeedEstimate:
         st = initial_state(grid, angle, sol.u_inf)
         run_until(st, StepPolicy(), angle, t_end=2.0)
         dt = auto_dt(grid, StepPolicy())
-        assert abs(speed_estimate(st.history, 1.0) - sol.C_quad) <= dt
-
-    def test_insufficient_history(self):
-        geom, grid, angle = make_problem("interval", n_r=32)
-        st = initial_state(grid, angle, 0.0)
-        with pytest.raises(ValueError):
-            speed_estimate(st.history, 1.0)
-        step(st, StepPolicy(), angle)
-        with pytest.raises(ValueError):
-            speed_estimate(st.history, 1.0)  # the window reaches before t = 0
-
-    @settings(max_examples=300, deadline=None)
-    @given(st_.data())
-    def test_window_start_matches_searchsorted(self, data):
-        # irregular steps, shortened steps landing on snapshot times, and
-        # targets within 1e-12 of a recorded time
-        t0 = data.draw(st_.floats(-10.0, 10.0))
-        steps = data.draw(st_.lists(st_.one_of(st_.floats(1e-3, 1.0), st_.floats(1e-11, 1e-6)),
-                                    min_size=1, max_size=60))
-        t = [t0]
-        for dt in steps:
-            t.append(t[-1] + dt)
-        k = data.draw(st_.integers(0, len(t) - 1))
-        target = data.draw(st_.one_of(
-            st_.floats(t[0] - 1.0, t[-1] + 1.0),
-            st_.floats(-2e-12, 2e-12).map(lambda off: t[k] + off),
-            st_.just(t[k] - 1e-12)))
-        expected = min(int(np.searchsorted(np.asarray(t), target + 1e-12)), len(t) - 2)
-        assert _window_start(t, target) == expected
-
-    def test_speed_estimate_window_on_snapshot_steps(self):
-        t = [0.0, 0.3, 0.5, 0.8, 1.0, 1.3, 1.5]  # 0.5, 1.0, 1.5: shortened steps
-        ones, zeros = [1.0] * len(t), [0.0] * len(t)
-        hist = FlowHistory(t=t, mean_u=[2.0 * v for v in t], max_w=ones, osc_u=zeros,
-                           speed=zeros, max_weta=ones)
-        assert speed_estimate(hist, 1.0) == pytest.approx(2.0, rel=1e-14)
-        assert speed_estimate(hist, 1.5) == pytest.approx(2.0, rel=1e-14)
-        with pytest.raises(ValueError):
-            speed_estimate(hist, 1.6)
+        assert abs(st.history.speed[-1] - sol.C_quad) <= dt
 
 
 class TestEtaMonitor:

@@ -132,7 +132,7 @@ class TestDirectSolve:
         assert sol.residual <= 1e-10
         assert abs(sol.C_eps - sol.C_h) <= 1e-12
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st_.data())
     def test_random_admissible_inputs_converge(self, data):
         kind = data.draw(st_.sampled_from(["interval", "flat", "hyperbolic", "pinched_ch",
